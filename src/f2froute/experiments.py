@@ -25,10 +25,10 @@ from f2froute.adversary import (
     inject_failures,
 )
 from f2froute.embedding import EmbeddingConfig, assign_coordinates
-from f2froute.graph import Graph, load_edge_list, generate_synthetic
+from f2froute.graph import Graph, connected_components, generate_synthetic, giant_component, load_edge_list
 from f2froute.overlay import DhtConfig, build_overlay, dht_lookup
 from f2froute.routing import RoutingConfig, route_multi
-from f2froute.trees import RootDepartureError, TreeConfig, TreeSet, construct_trees, handle_departure
+from f2froute.trees import TreeConfig, TreeSet, construct_trees
 
 METRIC_NAMES = ("routing_length", "success_ratio", "stabilization_cost", "dht_underlay_hops")
 
@@ -86,38 +86,16 @@ def resolve_graph(spec: str, seed: int) -> Graph:
     if spec.startswith("er:"):
         _, n, p = spec.split(":")
         return generate_synthetic("erdos-renyi", int(n), float(p), seed)
-    return load_edge_list(spec)
-
-
-def _component_ids(g: Graph, live) -> list[int]:
-    """Component label per node over the live-induced subgraph; -1 = dead."""
-    comp = [-1] * g.node_count
-    label = 0
-    for v in range(g.node_count):
-        if comp[v] != -1 or not live[v]:
-            continue
-        stack = [v]
-        comp[v] = label
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if live[w] and comp[w] == -1:
-                    comp[w] = label
-                    stack.append(w)
-        label += 1
-    return comp
+    return giant_component(load_edge_list(spec))
 
 
 def sample_pairs(g: Graph, live, count: int, rng: random.Random, exclude=()):
     """Source-destination pairs, with replacement, both live and in the
     same surviving component."""
-    comp = _component_ids(g, live)
     banned = set(exclude)
-    members: dict[int, list[int]] = {}
-    for v in range(g.node_count):
-        if live[v] and v not in banned:
-            members.setdefault(comp[v], []).append(v)
-    pools = [m for m in members.values() if len(m) >= 2]
+    pools = [sorted(v for v in comp if v not in banned) for comp in connected_components(g, live)]
+    # seeded draws depend on this order: pools sorted, by their smallest member
+    pools = sorted(p for p in pools if len(p) >= 2)
     if not pools:
         return []
     weights = [len(m) for m in pools]
@@ -134,23 +112,25 @@ def sample_pairs(g: Graph, live, count: int, rng: random.Random, exclude=()):
 
 def stabilization_metric(
     ts: TreeSet, g: Graph, samples: int, seed: int, exclude=()
-) -> float:
-    """Mean coordinate reassignments per random non-root departure."""
+) -> float | None:
+    """Mean coordinate reassignments per random non-root departure.
+
+    A departure of v re-embeds exactly its descendants in every tree
+    (what `handle_departure` counts), so the cost of v is read from the
+    subtree sizes instead of simulated. None when no node may depart.
+    """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     roots = set(ts.roots) | set(exclude)
     eligible = [v for v in range(ts.node_count) if v not in roots]
     if not eligible:
-        return 0.0
+        return None
+    sizes = [ts.subtree_sizes(i) for i in range(ts.gamma)]
     total = 0
-    for k in range(samples):
+    for _ in range(samples):
         v = rng.choice(eligible)
-        try:
-            _, reassigned = handle_departure(ts.copy(), g, v, seed=seed + k)
-        except RootDepartureError:  # pragma: no cover - roots filtered above
-            continue
-        total += reassigned
+        total += sum(size[v] - 1 for size in sizes if size[v])
     return total / samples
 
 
@@ -195,14 +175,14 @@ def _run_once(s: Scenario, run_idx: int) -> dict[str, float]:
             if res.success:
                 successes += 1
                 lengths.append(res.best_route_length)
-        if "success_ratio" in s.metrics:
-            out["success_ratio"] = successes / len(pairs) if pairs else 0.0
+        if "success_ratio" in s.metrics and pairs:
+            out["success_ratio"] = successes / len(pairs)
         if "routing_length" in s.metrics and lengths:
             out["routing_length"] = sum(lengths) / len(lengths)
     if "stabilization_cost" in s.metrics:
-        out["stabilization_cost"] = stabilization_metric(
-            ts, g, s.stabilization_samples, seed + 3, exclude=exclude
-        )
+        cost = stabilization_metric(ts, g, s.stabilization_samples, seed + 3, exclude=exclude)
+        if cost is not None:
+            out["stabilization_cost"] = cost
     if "dht_underlay_hops" in s.metrics:
         dht_nodes = build_overlay(g, s.dht, seed + 4)
         drng = random.Random(seed + 5)

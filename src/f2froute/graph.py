@@ -144,9 +144,13 @@ def generate_synthetic(model: str, n: int, param: float, seed: int) -> Graph:
     return g
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as lists of node ids, largest first."""
-    seen = [False] * g.node_count
+def connected_components(g: Graph, live=None) -> list[list[int]]:
+    """Connected components as lists of node ids, largest first.
+
+    With a live mask, components of the subgraph induced by the live
+    nodes; dead nodes belong to none.
+    """
+    seen = [False] * g.node_count if live is None else [not x for x in live]
     comps: list[list[int]] = []
     for start in range(g.node_count):
         if seen[start]:

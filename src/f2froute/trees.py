@@ -5,7 +5,10 @@ node is part of tree i it invites all neighbors in the next round, and
 un-joined nodes accept invitations preferring neighbors that parent them
 in the fewest trees (parent diversity). Acceptance of a non-preferred
 invitation happens with probability q per round, guaranteeing
-termination. A plain per-tree BFS is available as a baseline strategy.
+termination; DIV-DEP further keeps the lowest-level inviters. That rule
+is `choose_invitation`, applied both by `TreeBuilder` during construction
+and by `handle_join` when it replays the protocol for a joining node. A
+plain per-tree BFS is available as a baseline strategy.
 """
 
 from __future__ import annotations
@@ -63,8 +66,9 @@ class TreeSet:
     is currently v's parent.
     """
 
-    def __init__(self, n: int, roots: list[int]):
+    def __init__(self, n: int, roots: list[int], cfg: TreeConfig | None = None):
         gamma = len(roots)
+        self.cfg = cfg if cfg is not None else TreeConfig(gamma=gamma)
         self.roots = list(roots)
         self.parent = [[ABSENT] * n for _ in range(gamma)]
         self.level = [[-1] * n for _ in range(gamma)]
@@ -95,12 +99,13 @@ class TreeSet:
         self.children[tree][parent].append(v)
         self.pc[v][parent] = self.pc[v].get(parent, 0) + 1
 
-    def min_parent_count(self, g: Graph, v: int) -> int:
-        """Minimal pc over all neighbors of v (0 unless every neighbor parents v)."""
-        pcv = self.pc[v]
-        if len(pcv) < g.degree(v):
-            return 0
-        return min(pcv.values())
+    def release_parent(self, v: int, parent: int) -> None:
+        """Count one tree fewer in which parent is v's parent."""
+        cnt = self.pc[v].get(parent, 0) - 1
+        if cnt > 0:
+            self.pc[v][parent] = cnt
+        else:
+            self.pc[v].pop(parent, None)
 
     def descendants(self, tree: int, node: int) -> list[int]:
         out = []
@@ -111,8 +116,21 @@ class TreeSet:
             stack.extend(self.children[tree][u])
         return out
 
+    def subtree_sizes(self, tree: int) -> list[int]:
+        """Per node, its subtree's member count (itself included); 0 if absent."""
+        size = [0] * self.node_count
+        order = [self.roots[tree]]
+        for u in order:  # breadth-first; the list grows as it is walked
+            order.extend(self.children[tree][u])
+        for u in reversed(order):
+            size[u] += 1
+            if self.parent[tree][u] >= 0:
+                size[self.parent[tree][u]] += size[u]
+        return size
+
     def copy(self) -> "TreeSet":
         dup = TreeSet.__new__(TreeSet)
+        dup.cfg = self.cfg
         dup.roots = list(self.roots)
         dup.parent = [list(p) for p in self.parent]
         dup.level = [list(l) for l in self.level]
@@ -153,6 +171,46 @@ class TreeSet:
                 assert steps == self.level[i][v]
 
 
+def choose_invitation(
+    pc: dict[int, int],
+    degree: int,
+    invs: dict[int, list[tuple[int, int]]],
+    rng: random.Random,
+    cfg: TreeConfig,
+) -> tuple[int, int, int] | None:
+    """The invitation-selection rule; returns (tree, inviter, level) or None.
+
+    pc and degree are the deciding node's parent counts and degree, invs
+    its pending invitations as tree -> [(inviter, inviter_level)]. An
+    inviter whose count equals the minimum over all neighbors (0 while
+    some neighbor parents the node in no tree) is preferred and accepted
+    at once. Otherwise the node accepts with probability cfg.accept_prob,
+    among the inviters of least count. DIV-DEP keeps the lowest-level
+    candidates before the uniform draw.
+    """
+    min_all = 0 if len(pc) < degree else min(pc.values())
+    cands = [
+        (tree, w, lvl)
+        for tree, lst in invs.items()
+        for (w, lvl) in lst
+        if pc.get(w, 0) == min_all
+    ]
+    if not cands:
+        if rng.random() > cfg.accept_prob:
+            return None
+        best = min(pc.get(w, 0) for lst in invs.values() for (w, _) in lst)
+        cands = [
+            (tree, w, lvl)
+            for tree, lst in invs.items()
+            for (w, lvl) in lst
+            if pc.get(w, 0) == best
+        ]
+    if cfg.strategy == "DIV-DEP":
+        low = min(lvl for _, _, lvl in cands)
+        cands = [c for c in cands if c[2] == low]
+    return rng.choice(cands)
+
+
 def elect_root(g: Graph, policy: str, seed: int, node: int | None = None) -> int:
     """Stand-in for a distributed root election; deterministic per seed."""
     if g.node_count == 0:
@@ -182,7 +240,7 @@ class TreeBuilder:
         self.g = g
         self.cfg = cfg
         self.rng = random.Random(cfg.rng_seed)
-        self.ts = TreeSet(g.node_count, roots)
+        self.ts = TreeSet(g.node_count, roots, cfg)
         self.round = 0
         diam = diameter_estimate(g, seed=cfg.rng_seed)
         self.round_cap = max(10, int(50 * cfg.gamma / cfg.accept_prob * max(diam, 1)))
@@ -197,10 +255,6 @@ class TreeBuilder:
     @property
     def finished(self) -> bool:
         return self.joined >= self.target
-
-    def invitations(self, node: int) -> dict[int, list[tuple[int, int]]]:
-        """Pending invitations of a node, keyed by tree index (test hook)."""
-        return {t: list(v) for t, v in self.pending.get(node, {}).items()}
 
     def step(self) -> None:
         """One synchronous round: deliver invitations, then let nodes decide."""
@@ -226,35 +280,9 @@ class TreeBuilder:
             self._outbox.append((tree, v, wlvl + 1))
 
     def _decide(self, v: int) -> tuple[int, int, int] | None:
-        """Apply the invitation-selection rule; returns (tree, inviter, level)."""
-        ts = self.ts
-        pcv = ts.pc[v]
-        invs = self.pending[v]
-        min_all = ts.min_parent_count(self.g, v)
-        preferred = [
-            (tree, w, lvl)
-            for tree, lst in invs.items()
-            for (w, lvl) in lst
-            if pcv.get(w, 0) == min_all
-        ]
-        if preferred:
-            return self._select(preferred)
-        if self.rng.random() > self.cfg.accept_prob:
-            return None
-        best = min(pcv.get(w, 0) for lst in invs.values() for (w, _) in lst)
-        available = [
-            (tree, w, lvl)
-            for tree, lst in invs.items()
-            for (w, lvl) in lst
-            if pcv.get(w, 0) == best
-        ]
-        return self._select(available)
-
-    def _select(self, candidates: list[tuple[int, int, int]]) -> tuple[int, int, int]:
-        if self.cfg.strategy == "DIV-DEP":
-            low = min(lvl for _, _, lvl in candidates)
-            candidates = [c for c in candidates if c[2] == low]
-        return self.rng.choice(candidates)
+        return choose_invitation(
+            self.ts.pc[v], self.g.degree(v), self.pending[v], self.rng, self.cfg
+        )
 
     def run(self) -> TreeSet:
         while not self.finished:
@@ -273,7 +301,7 @@ def _construct_bfs(g: Graph, cfg: TreeConfig, roots: list[int]) -> TreeSet:
     if len(comps) != 1:
         raise ConstructionError(f"input graph has {len(comps)} components; pass the giant component")
     rng = random.Random(cfg.rng_seed)
-    ts = TreeSet(g.node_count, roots)
+    ts = TreeSet(g.node_count, roots, cfg)
     for i, r in enumerate(roots):
         queue = deque([r])
         while queue:
@@ -294,13 +322,12 @@ def construct_trees(g: Graph, cfg: TreeConfig, roots: list[int]) -> TreeSet:
     return TreeBuilder(g, cfg, roots).run()
 
 
-def handle_join(
-    ts: TreeSet, g: Graph, new_node: int, seed: int = 0, accept_prob: float = 0.5
-) -> TreeSet:
+def handle_join(ts: TreeSet, g: Graph, new_node: int, seed: int = 0) -> TreeSet:
     """Join a node as a leaf of every tree by replaying the invitation protocol.
 
     Neighbors are assumed to invite one round after their recorded
-    join_round; the node applies the same selection rule locally.
+    join_round; the node applies `choose_invitation` locally, with the
+    q and strategy the trees were built with (ts.cfg).
     """
     rng = random.Random(seed)
     gamma = ts.gamma
@@ -316,11 +343,12 @@ def handle_join(
                 events.append((ts.join_round[i][w] + 1, i, w, ts.level[i][w]))
     events.sort()
     pending: dict[int, list[tuple[int, int]]] = {}
-    joined: dict[int, tuple[int, int]] = {}
+    joined: dict[int, int] = {}  # tree -> chosen parent
     pc: dict[int, int] = {}
     degree = g.degree(new_node)
     round_no, idx = 0, 0
-    cap = (events[-1][0] if events else 0) + 1000
+    # a non-preferred invitation is accepted w.p. q per round
+    cap = (events[-1][0] if events else 0) + int(500 / ts.cfg.accept_prob)
     while len(joined) < gamma:
         round_no += 1
         if round_no > cap:
@@ -332,29 +360,15 @@ def handle_join(
                 pending.setdefault(tree, []).append((w, lvl))
         if not pending:
             continue
-        min_all = 0 if len(pc) < degree else min(pc.values())
-        cands = [
-            (tree, w, lvl)
-            for tree, lst in pending.items()
-            for (w, lvl) in lst
-            if pc.get(w, 0) == min_all
-        ]
-        if not cands:
-            if rng.random() > accept_prob:
-                continue
-            best = min(pc.get(w, 0) for lst in pending.values() for (w, _) in lst)
-            cands = [
-                (tree, w, lvl)
-                for tree, lst in pending.items()
-                for (w, lvl) in lst
-                if pc.get(w, 0) == best
-            ]
-        tree, w, _ = rng.choice(cands)
-        joined[tree] = (w, round_no)
+        choice = choose_invitation(pc, degree, pending, rng, ts.cfg)
+        if choice is None:
+            continue
+        tree, w, _ = choice
+        joined[tree] = w
         pc[w] = pc.get(w, 0) + 1
         del pending[tree]
     ts.clock += 1
-    for tree, (w, _) in joined.items():
+    for tree, w in joined.items():
         ts.attach(tree, new_node, w, ts.clock + max(ts.join_round[tree]))
     return ts
 
@@ -384,20 +398,12 @@ def handle_departure(
             detached.add(c)
             detached.update(ts.descendants(i, c))
             ts.parent[i][c] = ABSENT
-            cnt = ts.pc[c].get(node, 0) - 1
-            if cnt > 0:
-                ts.pc[c][node] = cnt
-            else:
-                ts.pc[c].pop(node, None)
+            ts.release_parent(c, node)
         reassigned += len(detached)
         old_parent = ts.parent[i][node]
         if old_parent >= 0:
             ts.children[i][old_parent].remove(node)
-            cnt = ts.pc[node].get(old_parent, 0) - 1
-            if cnt > 0:
-                ts.pc[node][old_parent] = cnt
-            else:
-                ts.pc[node].pop(old_parent, None)
+            ts.release_parent(node, old_parent)
         ts.parent[i][node] = ABSENT
         ts.level[i][node] = -1
         ts.children[i][node] = []
@@ -451,11 +457,7 @@ def _reattach(ts, g, tree, subtree_roots, detached, rng):
                 for d in [c] + ts.descendants(tree, c):
                     p = ts.parent[tree][d]
                     if p >= 0:
-                        cnt = ts.pc[d].get(p, 0) - 1
-                        if cnt > 0:
-                            ts.pc[d][p] = cnt
-                        else:
-                            ts.pc[d].pop(p, None)
+                        ts.release_parent(d, p)
                     ts.parent[tree][d] = ABSENT
                     ts.level[tree][d] = -1
                     ts.children[tree][d] = []
@@ -487,11 +489,7 @@ def _reroot_subtree(ts, tree, old_root, new_root):
         ts.children[tree][child].remove(parent)
         ts.children[tree][parent].append(child)
         ts.parent[tree][child] = parent
-        cnt = ts.pc[parent].get(child, 0) - 1
-        if cnt > 0:
-            ts.pc[parent][child] = cnt
-        else:
-            ts.pc[parent].pop(child, None)
+        ts.release_parent(parent, child)
         ts.pc[child][parent] = ts.pc[child].get(parent, 0) + 1
     ts.parent[tree][new_root] = ABSENT
 

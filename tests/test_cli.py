@@ -65,6 +65,19 @@ def test_bad_graph_spec_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_edge_list_with_two_components_uses_the_giant_one(tmp_path, capsys):
+    edges = tmp_path / "two_components.txt"
+    big = [(i, j) for i in range(8) for j in range(i + 1, 8)]  # 8-clique
+    edges.write_text("".join(f"{u} {v}\n" for u, v in big + [(100, 101)]))
+    out = tmp_path / "r.csv"
+    stats = tmp_path / "gs.csv"
+    code = run_cli(["--graph", str(edges), "--gamma", "2", "--tau", "2", "--pairs", "10",
+                    "--runs", "1", "--out", str(out), "--graph-stats", str(stats)])
+    assert code == 0, capsys.readouterr().err
+    assert out.read_text().splitlines()[0] == "scenario,metric,mean,ci95,runs"
+    assert stats.read_text().splitlines()[1].split(",")[0] == "8"
+
+
 def test_graph_stats_export(tmp_path):
     stats = tmp_path / "gs.csv"
     out = tmp_path / "r.csv"

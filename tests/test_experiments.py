@@ -18,7 +18,7 @@ from f2froute.experiments import (
 )
 from f2froute.graph import Graph, generate_synthetic
 from f2froute.routing import RoutingConfig
-from f2froute.trees import TreeConfig, construct_trees
+from f2froute.trees import STRATEGIES, TreeConfig, TreeSet, construct_trees, handle_departure
 
 
 def small_scenario(**kw):
@@ -73,6 +73,17 @@ def test_sample_pairs_same_component():
         assert 0 not in (s, d) and 4 not in (s, d)
 
 
+def test_sample_pairs_seeded_draws_are_pinned():
+    # pools {0, 4}, {2, 3, 5} (1 excluded, 6 dead) and {7, 8}: the largest
+    # pool does not hold the smallest id, so a change in pool order shows
+    g = Graph.from_edges(9, [(0, 4), (1, 2), (2, 3), (3, 5), (5, 6), (7, 8)])
+    live = [v != 6 for v in range(9)]
+    assert sample_pairs(g, live, 12, random.Random(3), exclude=(1,)) == [
+        (0, 4), (8, 7), (3, 5), (4, 0), (0, 4), (7, 8),
+        (8, 7), (7, 8), (4, 0), (7, 8), (7, 8), (7, 8),
+    ]
+
+
 def test_sample_pairs_with_failures():
     g = generate_synthetic("er", 60, 0.1, seed=2)
     mask = inject_failures(g, 0.3, 4)
@@ -103,6 +114,55 @@ def test_stabilization_star_and_path():
     assert abs(got - enumerated) < 4 * spread / math.sqrt(800)
     # state restored between samples
     assert all(ts.parent[0][v] != -2 for v in range(n))
+
+
+def simulated_stabilization(ts, g, samples, seed):
+    """Reference: mean count of handle_departure on a fresh copy per sample."""
+    rng = random.Random(seed)
+    eligible = [v for v in range(ts.node_count) if v not in set(ts.roots)]
+    total = 0
+    for k in range(samples):
+        _, reassigned = handle_departure(ts.copy(), g, rng.choice(eligible), seed=seed + k)
+        total += reassigned
+    return total / samples
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_stabilization_closed_form_matches_simulated_departures(strategy):
+    base = generate_synthetic("pa", 120, 2, seed=3)
+    n = base.node_count
+    # a pendant path n - n+1 - n+2 hanging off node 50
+    g = Graph.from_edges(n + 3, list(base.edges()) + [(50, n), (n, n + 1), (n + 1, n + 2)])
+    ts = construct_trees(g, TreeConfig(gamma=3, strategy=strategy, rng_seed=3), [0, 1, 2])
+    assert stabilization_metric(ts, g, 200, 5) == simulated_stabilization(ts, g, 200, 5)
+
+    handle_departure(ts, g, n, seed=1)  # strands n+1 and n+2 in every tree
+    assert not any(ts.in_tree(i, v) for i in range(3) for v in (n + 1, n + 2))
+    handle_departure(ts, g, 7, seed=2)
+    assert stabilization_metric(ts, g, 200, 6) == simulated_stabilization(ts, g, 200, 6)
+
+
+def test_stabilization_without_eligible_node_is_missing():
+    ts = TreeSet(3, [0, 1, 2])  # every node is a root
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert stabilization_metric(ts, g, 10, 0) is None
+    assert stabilization_metric(ts, g, 10, 0, exclude=(0,)) is None
+
+
+def test_degenerate_metrics_are_left_out():
+    # two nodes, both roots, one of them failed: no departure can be
+    # sampled and no live pair exists, so neither metric is reported
+    s = small_scenario(
+        graph="pa:2:1",
+        tree=TreeConfig(gamma=2),
+        adversary=AdversaryConfig(mode="random-failures", failure_fraction=0.5),
+        metrics=("success_ratio", "routing_length", "stabilization_cost"),
+    )
+    assert run_scenario(s, log=io.StringIO()) == []
+    rows = run_scenario(small_scenario(graph="pa:2:1", tree=TreeConfig(gamma=2),
+                                       metrics=("success_ratio", "stabilization_cost")),
+                        log=io.StringIO())
+    assert [r.metric for r in rows] == ["success_ratio"]
 
 
 def test_run_scenario_deterministic(tmp_path):

@@ -83,6 +83,15 @@ def test_connected_components_largest_first():
     assert [len(c) for c in comps] == [3, 2, 1]
 
 
+def test_connected_components_live_mask():
+    # killing node 2 splits the path 0-1-2-3-4 in two; dead nodes are in no component
+    g = path_graph(5)
+    live = [True, True, False, True, True]
+    assert connected_components(g, live) == [[0, 1], [3, 4]]
+    assert connected_components(g, [False] * 5) == []
+    assert connected_components(g, [True] * 5) == connected_components(g)
+
+
 def test_giant_component_remaps_dense():
     g = Graph.from_edges(6, [(1, 3), (3, 5), (0, 2)])
     giant = giant_component(g)

@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f2froute.graph import Graph, generate_synthetic, shortest_path_lengths
 from f2froute.trees import (
     ABSENT,
     ROOT,
+    STRATEGIES,
     ConstructionError,
     JoinError,
     RootDepartureError,
     TreeBuilder,
     TreeConfig,
     TreeSet,
+    choose_invitation,
     construct_trees,
     descendants_count,
     elect_root,
@@ -119,10 +122,10 @@ def test_non_preferred_acceptance_rate_matches_q():
 
 
 def test_div_dep_prefers_lower_level():
-    g = star_graph(4)
-    builder = TreeBuilder(g, TreeConfig(strategy="DIV-DEP", rng_seed=0), [0])
-    picked = builder._select([(0, 5, 3), (0, 6, 1), (0, 7, 2)])
-    assert picked == (0, 6, 1)
+    # no neighbor parents the node yet, so all three invitations are preferred
+    invs = {0: [(5, 3), (6, 1), (7, 2)]}
+    cfg = TreeConfig(strategy="DIV-DEP")
+    assert choose_invitation({}, 3, invs, random.Random(0), cfg) == (0, 6, 1)
 
 
 def test_elect_root_policies():
@@ -161,6 +164,30 @@ def test_handle_join_attaches_everywhere():
         p = grown.parent[i][n - 1]
         assert p >= 0 and p in g.neighbors(n - 1)
     assert sub.node_count == n  # the pre-join graph really excluded the node
+
+
+def test_handle_join_on_div_dep_trees_prefers_lower_level():
+    # neighbors 1, 2 and 3 of the joining node 4 sit at levels 1, 2 and 3
+    # but joined in the same round, so their invitations arrive together
+    # and are all preferred; DIV-DEP takes the level-1 inviter every time
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
+    for seed in range(20):
+        ts = TreeSet(5, [0], TreeConfig(strategy="DIV-DEP"))
+        for v in (1, 2, 3):
+            ts.attach(0, v, v - 1, 3)
+        handle_join(ts, g, 4, seed=seed)
+        assert ts.parent[0][4] == 1
+        assert_consistent(ts, g)
+
+
+def test_tree_set_records_its_config():
+    g = path_graph(4)
+    cfg = TreeConfig(gamma=2, accept_prob=0.3, strategy="DIV-DEP", rng_seed=1)
+    ts = construct_trees(g, cfg, [0, 3])
+    assert ts.cfg is cfg and ts.copy().cfg is cfg
+    bfs = TreeConfig(strategy="BFS")
+    assert construct_trees(g, bfs, [0]).cfg is bfs
+    assert TreeSet(4, [0, 1, 2]).cfg == TreeConfig(gamma=3)
 
 
 def test_handle_join_rejects_member_or_isolated():
@@ -263,3 +290,30 @@ def test_dump_lists_all_members():
     lines = ts.dump().strip().splitlines()
     assert lines[0] == "tree node parent level"
     assert len(lines) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from(STRATEGIES),
+    m=st.integers(1, 3),
+    gamma=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    moves=st.lists(st.integers(0, 10_000), min_size=1, max_size=10),
+)
+def test_depart_join_sequences_keep_invariants(strategy, m, gamma, seed, moves):
+    # m = 1 gives a tree graph, where every departure of an inner node
+    # strands the part of each spanning tree beyond it
+    g = generate_synthetic("pa", 24, m, seed=seed)
+    n = g.node_count
+    ts = construct_trees(g, TreeConfig(gamma=gamma, strategy=strategy, rng_seed=seed), list(range(gamma)))
+    for k, move in enumerate(moves):
+        v = gamma + move % (n - gamma)
+        handle_departure(ts, g, v, seed=seed + k)
+        assert all(not ts.in_tree(i, v) for i in range(gamma))
+        assert_consistent(ts, g)
+        try:
+            handle_join(ts, g, v, seed=seed + k)
+        except JoinError:
+            continue  # a neighborhood stranded in some tree
+        assert all(ts.parent[i][v] in g.neighbors(v) for i in range(gamma))
+        assert_consistent(ts, g)

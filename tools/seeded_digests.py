@@ -1,0 +1,90 @@
+"""Print digests of seeded f2froute outputs, to compare two revisions.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python tools/seeded_digests.py
+
+Each line is `<output> <digest>`. Running it on two revisions and diffing
+the lines shows which seeded outputs changed between them. It covers tree
+construction for every strategy, `stabilization_metric`,
+`sample_pairs` (with failures and exclusions), in-place depart-and-join
+sequences and `run_scenario` CSVs. It uses only calls that have kept
+their signatures, so it runs on older revisions too.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import os
+import random
+import tempfile
+
+from f2froute import experiments, trees
+from f2froute.adversary import AdversaryConfig, choose_roots, inject_failures
+from f2froute.routing import RoutingConfig
+from f2froute.trees import STRATEGIES, TreeConfig
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def tree_state(ts) -> tuple:
+    return ts.parent, ts.level, ts.join_round, ts.children, ts.pc
+
+
+def depart_join(ts, g, roots, events: int, seed: int) -> list:
+    """In-place departures, each followed by the node's rejoin."""
+    rng = random.Random(seed)
+    movers = [v for v in range(g.node_count) if v not in set(roots)]
+    log = []
+    for k in range(events):
+        v = rng.choice(movers)
+        _, reassigned = trees.handle_departure(ts, g, v, seed=seed + k)
+        try:
+            trees.handle_join(ts, g, v, seed=seed + k)
+        except trees.JoinError as exc:
+            log.append(str(exc))
+        log.append(reassigned)
+    return log
+
+
+def main() -> None:
+    g = experiments.resolve_graph("pa:400:3", 7)
+    roots = choose_roots(g, 5, 7)
+    configs = [(s, 0.5) for s in STRATEGIES] + [("DIV-RAND", 0.3)]
+    for strategy, q in configs:
+        name = f"{strategy}.q{q}"
+        cfg = TreeConfig(gamma=5, accept_prob=q, strategy=strategy, rng_seed=7)
+        ts = trees.construct_trees(g, cfg, roots)
+        print(f"construct.{name}", digest(tree_state(ts)))
+        print(f"stabilization.{name}", digest(experiments.stabilization_metric(ts, g, 300, 3)))
+        log = depart_join(ts, g, roots, 80, 11)
+        print(f"depart-join.{name}", digest((log, tree_state(ts))))
+
+    mask = inject_failures(g, 0.4, 5)
+    for exclude in [(), (0, 3, 17)]:
+        pairs = experiments.sample_pairs(g, mask.live, 500, random.Random(2), exclude=exclude)
+        print(f"sample_pairs.exclude{len(exclude)}", digest(pairs))
+
+    metrics = ("success_ratio", "routing_length", "stabilization_cost")
+    with tempfile.TemporaryDirectory() as tmp:
+        for strategy in STRATEGIES:
+            for mode in ("none", "random-failures"):
+                scenario = experiments.Scenario(
+                    label="d", graph="pa:300:3",
+                    tree=TreeConfig(gamma=3, strategy=strategy),
+                    routing=RoutingConfig(tau=2),
+                    adversary=AdversaryConfig(mode=mode, failure_fraction=0.2),
+                    metrics=metrics, pairs_per_run=50, runs=2, master_seed=4,
+                    stabilization_samples=20,
+                )
+                path = os.path.join(tmp, "out.csv")
+                experiments.write_csv(experiments.run_scenario(scenario, log=io.StringIO()), path)
+                with open(path, "rb") as fh:
+                    print(f"run_scenario.{strategy}.{mode}", digest(fh.read()))
+
+
+if __name__ == "__main__":
+    main()
