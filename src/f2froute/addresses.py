@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from f2froute.embedding import Coordinate, Embedding, EmbeddingConfig, cpl
+from f2froute.embedding import Coordinate, Embedding, EmbeddingConfig, order_key
 from f2froute.trees import TreeSet
 
 NON_NEIGHBOR = "non-neighbor"
@@ -245,15 +245,6 @@ def diversity_rp(
     raise UnsupportedMetricError(f"unknown metric {metric!r}")
 
 
-def rp_order_key(addr: ReturnAddress, c: Coordinate, metric: str, cfg: EmbeddingConfig):
-    """Cheap comparison key with the same ordering as diversity_rp."""
-    bits = cfg.bits_per_element
-    m = _matched_prefix(addr.digest_vector, c, addr.routing_seed, bits)
-    if metric == "TD":
-        return len(addr.digest_vector) + len(c) - 2 * m
-    return (1, -m, len(c))
-
-
 def add_ppp_layer(addr: ReturnAddress, issuer_keys: AddressKeys, cfg: EmbeddingConfig) -> PppAddress:
     """Encrypt elements 2..l of the digest vector under the issuer's subtree keys."""
     tree = addr.tree_index
@@ -325,19 +316,12 @@ def candidate_receiver_set(
     matched: dict[int, list[int]] = {v: [] for v in neighbor_coords}
     argmins: list[set[int]] = []
     for i, addr in enumerate(addrs):
-        best_key = None
-        best: set[int] = set()
         for v, coords in neighbor_coords.items():
-            c = coords[i]
-            m = _matched_prefix(addr.digest_vector, c, addr.routing_seed, bits)
-            matched[v].append(m)
-            key = (-m, len(c))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = {v}
-            elif key == best_key:
-                best.add(v)
-        argmins.append(best)
+            matched[v].append(_matched_prefix(addr.digest_vector, coords[i], addr.routing_seed, bits))
+        key = order_key("CPL", lambda v, c: matched[v][i])
+        keyed = {v: key(v, coords[i]) for v, coords in neighbor_coords.items()}
+        best = min(keyed.values(), default=None)
+        argmins.append({v for v, k in keyed.items() if k == best})
     common = set.intersection(*argmins) if argmins else set()
     survivors = {
         v

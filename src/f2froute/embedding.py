@@ -126,8 +126,15 @@ def delta_cpl(x1: Coordinate, x2: Coordinate, cfg: EmbeddingConfig) -> Fraction:
     return cfg.cpl_constant - cpl(x1, x2) - Fraction(1, len(x1) + len(x2) + 1)
 
 
-def cpl_order_key(x1: Coordinate, x2: Coordinate) -> tuple[int, int, int]:
-    """Comparison key with the same ordering as delta_cpl (routing fast path)."""
-    if x1 == x2:
-        return (0, 0, 0)
-    return (1, -cpl(x1, x2), len(x1) + len(x2))
+def order_key(metric: str, match):
+    """Routing key of candidate c at evaluator u; smaller is closer.
+
+    match(u, c) is c's common prefix length with the target as u can tell
+    it. The keys order like delta_td and delta_cpl toward a fixed target,
+    leaving out its length, which an address hides behind padding.
+    """
+    if metric == "TD":
+        return lambda u, c: len(c) - 2 * match(u, c)
+    if metric == "CPL":
+        return lambda u, c: (-match(u, c), len(c))
+    raise ValueError(f"unknown metric {metric!r}")

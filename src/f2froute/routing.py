@@ -8,6 +8,12 @@ otherwise, and the route fails when the source runs out of options.
 Since improving edges strictly decrease the distance the chain is a
 simple path, and the search discovers a route exactly when a path of
 responsive nodes with strictly decreasing distance exists.
+
+Every addressing mode supplies only the matched prefix of a candidate
+with the target (by `cpl`, by cascading the candidate against a return
+address, or the same after partial decryption of an encrypted one) to
+the one key per metric, `embedding.order_key`. Route preservation thus
+holds by construction, for the choice of trees as well as every hop.
 """
 
 from __future__ import annotations
@@ -21,15 +27,8 @@ from f2froute.addresses import (
     ReturnAddress,
     _matched_prefix,
     ppp_partial_decrypt,
-    rp_order_key,
 )
-from f2froute.embedding import (
-    Coordinate,
-    Embedding,
-    EmbeddingConfig,
-    cpl_order_key,
-    delta_td,
-)
+from f2froute.embedding import Coordinate, Embedding, EmbeddingConfig, cpl, order_key
 from f2froute.graph import Graph
 
 METRICS = ("TD", "CPL")
@@ -87,34 +86,32 @@ class MultiRouteOutcome:
     attempts: list[RouteOutcome] = field(default_factory=list)
 
 
-def _key_fn(emb, tree, dest, cfg, metric, address, keys):
+def _key_fn(emb, tree, dest, metric, address, keys):
     """Per-evaluator comparison key; smaller means closer to the target.
 
-    Keys differ by addressing mode but order candidates identically, so
-    routes are unchanged when coordinates are swapped for addresses.
+    The addressing mode only picks how the matched prefix is found.
     """
+    bits = emb.cfg.bits_per_element
     if address is None:
         dest_coord = emb.coord(tree, dest)
         if dest_coord is None:
             raise ValueError(f"destination {dest} has no coordinate in tree {tree}")
-        if metric == "TD":
-            return lambda u, c: delta_td(c, dest_coord)
-        return lambda u, c: cpl_order_key(c, dest_coord)
-    ecfg = emb.cfg
+        return order_key(metric, lambda u, c: cpl(c, dest_coord))
+    seed = address.routing_seed
     if isinstance(address, ReturnAddress):
-        return lambda u, c: rp_order_key(address, c, metric, ecfg)
+        vec = address.digest_vector
+        return order_key(metric, lambda u, c: _matched_prefix(vec, c, seed, bits))
     if metric != "CPL":
         raise ValueError("encrypted addresses route under the CPL metric only")
     decrypted: dict[int, tuple[int, ...]] = {}
 
-    def ppp_key(u, c):
+    def ppp_match(u, c):
         vec = decrypted.get(u)
         if vec is None:
-            vec = decrypted[u] = ppp_partial_decrypt(address, keys[u], ecfg)
-        m = _matched_prefix(vec, c, address.routing_seed, ecfg.bits_per_element)
-        return (1, -m, len(c))
+            vec = decrypted[u] = ppp_partial_decrypt(address, keys[u], emb.cfg)
+        return _matched_prefix(vec, c, seed, bits)
 
-    return ppp_key
+    return order_key(metric, ppp_match)
 
 
 def route(
@@ -143,7 +140,7 @@ def route(
         rng = random.Random(0)
     if src == dest:
         return RouteOutcome(True, 0, [src], route_length=0)
-    key = _key_fn(emb, tree, dest, cfg, cfg.metric, address, keys)
+    key = _key_fn(emb, tree, dest, cfg.metric, address, keys)
     cap = cfg.max_hops if cfg.max_hops is not None else 4 * (g.node_count + g.edge_count)
     forwarded: dict[int, set[int]] = {src: set()}
     chain = [src]
@@ -220,7 +217,7 @@ def select_trees(
     scored = []
     for i in range(gamma):
         addr = addresses[i] if addresses is not None else None
-        key = _key_fn(emb, i, dest, cfg, cfg.metric, addr, keys)
+        key = _key_fn(emb, i, dest, cfg.metric, addr, keys)
         cands = [
             key(src, emb.coord(i, v))
             for v in g.neighbors(src)
@@ -303,24 +300,20 @@ def greedy_path_exists(
         return False
     if src == dest:
         return True
-
-    def key(v):
-        if metric == "TD":
-            return delta_td(coords[v], dest_coord)
-        return cpl_order_key(coords[v], dest_coord)
+    key = order_key(metric, lambda u, c: cpl(c, dest_coord))
 
     # edges only go from larger to strictly smaller key: plain DFS suffices
     seen = {src}
     stack = [src]
     while stack:
         u = stack.pop()
-        ku = key(u)
+        ku = key(u, coords[u])
         for v in g.neighbors(u):
             if v in seen or coords[v] is None:
                 continue
             if live is not None and not live[v]:
                 continue
-            if key(v) < ku:
+            if key(v, coords[v]) < ku:
                 if v == dest:
                     return True
                 seen.add(v)

@@ -323,33 +323,34 @@ def construct_trees(g: Graph, cfg: TreeConfig, roots: list[int]) -> TreeSet:
 
 
 def handle_join(ts: TreeSet, g: Graph, new_node: int, seed: int = 0) -> TreeSet:
-    """Join a node as a leaf of every tree by replaying the invitation protocol.
+    """Join a node as a leaf of every tree it is missing from (all of
+    them after its departure, some after a departure stranded it).
 
     Neighbors are assumed to invite one round after their recorded
     join_round; the node applies `choose_invitation` locally, with the
     q and strategy the trees were built with (ts.cfg).
     """
     rng = random.Random(seed)
-    gamma = ts.gamma
-    for i in range(gamma):
-        if ts.in_tree(i, new_node):
-            raise JoinError(f"node {new_node} already in tree {i}")
+    missing = [i for i in range(ts.gamma) if not ts.in_tree(i, new_node)]
+    if not missing:
+        raise JoinError(f"node {new_node} already in every tree")
+    for i in missing:
         if not any(ts.in_tree(i, w) for w in g.neighbors(new_node)):
             raise JoinError(f"node {new_node} has no neighbor in tree {i}")
     events: list[tuple[int, int, int, int]] = []  # (arrival_round, tree, inviter, level)
-    for i in range(gamma):
+    for i in missing:
         for w in g.neighbors(new_node):
             if ts.in_tree(i, w):
                 events.append((ts.join_round[i][w] + 1, i, w, ts.level[i][w]))
     events.sort()
     pending: dict[int, list[tuple[int, int]]] = {}
     joined: dict[int, int] = {}  # tree -> chosen parent
-    pc: dict[int, int] = {}
+    pc = dict(ts.pc[new_node])  # the parents it keeps in the trees it is in
     degree = g.degree(new_node)
     round_no, idx = 0, 0
     # a non-preferred invitation is accepted w.p. q per round
     cap = (events[-1][0] if events else 0) + int(500 / ts.cfg.accept_prob)
-    while len(joined) < gamma:
+    while len(joined) < len(missing):
         round_no += 1
         if round_no > cap:
             raise JoinError(f"join replay for node {new_node} did not converge")

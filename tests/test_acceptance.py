@@ -32,8 +32,8 @@ from f2froute.embedding import (
     EmbeddingConfig,
     assign_coordinates,
     cpl,
-    cpl_order_key,
     delta_td,
+    order_key,
 )
 from f2froute.graph import Graph, generate_synthetic, shortest_path_lengths
 from f2froute.overlay import DhtConfig, build_overlay, dht_lookup, xor_distance
@@ -66,6 +66,7 @@ def test_criterion_1_route_preservation():
             )
             addresses += 1
             x = emb.coord(0, issuer)
+            cpl_key = order_key("CPL", lambda u, c: cpl(c, x))
             for _ in range(10):
                 cand_nodes = rng.sample(range(n), min(n, rng.randrange(2, 25)))
                 cands = [emb.coord(0, v) for v in cand_nodes]
@@ -74,7 +75,7 @@ def test_criterion_1_route_preservation():
                     if metric == "TD":
                         true = [delta_td(c, x) for c in cands]
                     else:
-                        true = [cpl_order_key(c, x) for c in cands]
+                        true = [cpl_key(None, c) for c in cands]
                     amin_d = {i for i, v in enumerate(div) if v == min(div)}
                     amin_t = {i for i, v in enumerate(true) if v == min(true)}
                     if amin_d != amin_t:

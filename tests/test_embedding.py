@@ -8,9 +8,9 @@ from f2froute.embedding import (
     EmbeddingConfig,
     assign_coordinates,
     cpl,
-    cpl_order_key,
     delta_cpl,
     delta_td,
+    order_key,
 )
 from f2froute.graph import Graph, generate_synthetic
 from f2froute.trees import TreeConfig, construct_trees
@@ -111,10 +111,17 @@ def test_delta_cpl_identity_and_symmetry(x, y):
 
 @given(coords, coords, coords)
 def test_cpl_order_key_orders_like_delta_cpl(a, x, y):
+    key = order_key("CPL", lambda u, c: cpl(c, a))
     dx, dy = delta_cpl(a, x, CFG), delta_cpl(a, y, CFG)
-    kx, ky = cpl_order_key(a, x), cpl_order_key(a, y)
+    kx, ky = key(None, x), key(None, y)
     assert (dx < dy) == (kx < ky)
     assert (dx == dy) == (kx == ky)
+
+
+@given(coords, coords)
+def test_td_order_key_is_delta_td_less_target_length(a, x):
+    key = order_key("TD", lambda u, c: cpl(c, a))
+    assert key(None, x) == delta_td(x, a) - len(a)
 
 
 def test_delta_cpl_prefix_dominates_length():

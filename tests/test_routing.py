@@ -3,7 +3,9 @@ import random
 import pytest
 
 from f2froute.addresses import add_ppp_layer, address_for_node, distribute_subtree_keys, generate_address_keys
+from f2froute.adversary import apply_att_rand, attach_attacker, inject_failures
 from f2froute.embedding import Embedding, EmbeddingConfig, assign_coordinates, delta_td
+from f2froute.experiments import sample_pairs
 from f2froute.graph import Graph, generate_synthetic
 from f2froute.routing import (
     DROPPED,
@@ -256,12 +258,44 @@ def test_route_multi_rejects_tau_above_gamma():
 def test_select_trees_min_neighbor_distance():
     g, emb = multi_tree_instance()
     cfg = RoutingConfig(tau=1, metric="TD", embedding_choice="min-neighbor-distance")
-    # from node 1 toward 3: tree 0's best neighbor (node 2) sits at
-    # distance 1, tree 1's best (node 0) at distance 2, so tree 0 wins
+    # from node 1 toward 3: tree 0's best neighbor (node 2) has TD key
+    # -1 (distance 1 less the destination's depth 2), tree 1's best
+    # (node 0) key 1 (distance 2 less depth 1), so tree 0 wins
     picked = select_trees(g, emb, 1, 3, cfg, None, random.Random(0))
     assert picked == [0]
     out = route_multi(g, emb, 1, 3, cfg, drop_nodes={2}, rng=random.Random(0))
     assert out.trees == picked
+
+
+@pytest.fixture(scope="module")
+def attacked_pairs():
+    """pa:300:3 plus an att-rand attacker, 10 % failed nodes, DIV-RAND
+    gamma 5, and 120 pairs, each with its destination's return addresses."""
+    g, attacker = attach_attacker(generate_synthetic("pa", 300, 3, seed=21), 8, 22)
+    ts, emb, mask = apply_att_rand(g, attacker, TreeConfig(gamma=5, rng_seed=23), EmbeddingConfig(), 24)
+    failed = inject_failures(g, 0.1, 25)
+    live = [a and b for a, b in zip(mask.live, failed.live)]
+    keys = generate_address_keys(g.node_count, 26, emb.cfg.bits_per_element)
+    pairs = sample_pairs(g, live, 120, random.Random(27), exclude=(attacker,))
+    addrs = [
+        [address_for_node(emb, ts, d, t, keys[d], 1000 * k + t, 2000 * k + t) for t in range(emb.gamma)]
+        for k, (_, d) in enumerate(pairs)
+    ]
+    return g, emb, live, mask.drop_nodes, pairs, addrs
+
+
+@pytest.mark.parametrize("choice", ["random-tau", "min-neighbor-distance"])
+@pytest.mark.parametrize("metric", ["TD", "CPL"])
+def test_rp_addresses_preserve_routes_at_scenario_scale(attacked_pairs, metric, choice):
+    # route preservation: the same trees, hops and paths as on coordinates
+    g, emb, live, drop, pairs, addrs = attacked_pairs
+    cfg = RoutingConfig(tau=2, metric=metric, embedding_choice=choice)
+    for k, (s, d) in enumerate(pairs):
+        plain = route_multi(g, emb, s, d, cfg, live=live, drop_nodes=drop, rng=random.Random(k))
+        masked = route_multi(
+            g, emb, s, d, cfg, live=live, drop_nodes=drop, addresses=addrs[k], rng=random.Random(k)
+        )
+        assert plain == masked, f"pair {s}->{d}"
 
 
 def test_oracle_refuses_large_instance():

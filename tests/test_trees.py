@@ -205,6 +205,24 @@ def test_handle_join_rejects_member_or_isolated():
         handle_join(grown, g2, 3)  # node 3 has no edge at all
 
 
+def test_handle_join_readmits_nodes_stranded_by_a_departure():
+    # on the path 0-1-2-3 the departure of 2 strands 3 out of tree 0 and
+    # 1, 0 out of tree 1; once 2 is back, each rejoins what it is missing
+    g = path_graph(4)
+    ts = construct_trees(g, TreeConfig(gamma=2, strategy="BFS"), [0, 3])
+    handle_departure(ts, g, 2, seed=1)
+    handle_join(ts, g, 2, seed=2)
+    assert [ts.in_tree(0, v) for v in range(4)] == [True, True, True, False]
+    assert [ts.in_tree(1, v) for v in range(4)] == [False, False, True, True]
+    for seed, v in enumerate((3, 1, 0)):
+        handle_join(ts, g, v, seed=seed)
+        assert_consistent(ts, g)
+    assert [ts.parent[0][v] for v in range(4)] == [ROOT, 0, 1, 2]
+    assert [ts.parent[1][v] for v in range(4)] == [1, 2, 3, ROOT]
+    with pytest.raises(JoinError, match="every tree"):
+        handle_join(ts, g, 3)
+
+
 def test_departure_star_leaf_costs_nothing():
     g = star_graph(6)
     ts = construct_trees(g, TreeConfig(rng_seed=1), [0])

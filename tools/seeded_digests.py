@@ -8,8 +8,10 @@ Each line is `<output> <digest>`. Running it on two revisions and diffing
 the lines shows which seeded outputs changed between them. It covers tree
 construction for every strategy, `stabilization_metric`,
 `sample_pairs` (with failures and exclusions), in-place depart-and-join
-sequences and `run_scenario` CSVs. It uses only calls that have kept
-their signatures, so it runs on older revisions too.
+sequences, `run_scenario` CSVs, and `route_multi` outcomes for each
+metric, addressing mode and embedding choice on one att-rand instance
+with failures. It uses only calls that have kept their signatures, so
+it runs on older revisions too.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import random
 import tempfile
 
 from f2froute import experiments, trees
-from f2froute.adversary import AdversaryConfig, choose_roots, inject_failures
-from f2froute.routing import RoutingConfig
+from f2froute.addresses import add_ppp_layer, address_for_node, distribute_subtree_keys, generate_address_keys
+from f2froute.adversary import AdversaryConfig, apply_att_rand, attach_attacker, choose_roots, inject_failures
+from f2froute.embedding import EmbeddingConfig
+from f2froute.routing import EMBEDDING_CHOICE, RoutingConfig, route_multi
 from f2froute.trees import STRATEGIES, TreeConfig
 
 
@@ -48,6 +52,38 @@ def depart_join(ts, g, roots, events: int, seed: int) -> list:
             log.append(str(exc))
         log.append(reassigned)
     return log
+
+
+def routing_digests() -> None:
+    """route_multi outcomes, paths included, under every routing key."""
+    g, attacker = attach_attacker(experiments.resolve_graph("pa:400:3", 7), 12, 8)
+    ts, emb, mask = apply_att_rand(g, attacker, TreeConfig(gamma=5, rng_seed=9), EmbeddingConfig(), 10)
+    live = [a and b for a, b in zip(mask.live, inject_failures(g, 0.1, 11).live)]
+    keys = generate_address_keys(g.node_count, 12, emb.cfg.bits_per_element)
+    for t in range(emb.gamma):
+        distribute_subtree_keys(ts, t, 13, keys, emb.cfg.bits_per_element)
+    pairs = experiments.sample_pairs(g, live, 150, random.Random(14), exclude=(attacker,))
+    rp = [
+        [address_for_node(emb, ts, d, t, keys[d], 100 * k + t, 200 * k + t) for t in range(emb.gamma)]
+        for k, (_, d) in enumerate(pairs)
+    ]
+    ppp = [[add_ppp_layer(a, keys[d], emb.cfg) for a in addrs] for addrs, (_, d) in zip(rp, pairs)]
+    modes = {"coordinate": None, "rp": rp, "ppp": ppp}
+    for metric in ("TD", "CPL"):
+        for mode, addrs in modes.items():
+            if mode == "ppp" and metric != "CPL":
+                continue
+            for choice in EMBEDDING_CHOICE:
+                cfg = RoutingConfig(tau=2, metric=metric, embedding_choice=choice)
+                outs = [
+                    route_multi(
+                        g, emb, s, d, cfg, live=live, drop_nodes=mask.drop_nodes,
+                        addresses=None if addrs is None else addrs[k], keys=keys,
+                        rng=random.Random(k),
+                    )
+                    for k, (s, d) in enumerate(pairs)
+                ]
+                print(f"route.{metric}.{mode}.{choice}", digest(outs))
 
 
 def main() -> None:
@@ -84,6 +120,8 @@ def main() -> None:
                 experiments.write_csv(experiments.run_scenario(scenario, log=io.StringIO()), path)
                 with open(path, "rb") as fh:
                     print(f"run_scenario.{strategy}.{mode}", digest(fh.read()))
+
+    routing_digests()
 
 
 if __name__ == "__main__":
