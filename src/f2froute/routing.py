@@ -14,12 +14,24 @@ with the target (by `cpl`, by cascading the candidate against a return
 address, or the same after partial decryption of an encrypted one) to
 the one key per metric, `embedding.order_key`. Route preservation thus
 holds by construction, for the choice of trees as well as every hop.
+
+The simulation keys each node once per route. On a node's first visit
+`route` computes its own key and the keys of its live neighbours that
+have a coordinate in the tree, as that node sees them, and keeps the
+`(key, v)` list stably sorted by key. A forward pops the chosen entry,
+so the list holds exactly the options the node has not tried yet, and
+backtracking into the node reads it instead of keying the neighbours
+again. The front tie group keeps neighbour order, so `rng` draws the
+same next hops as a search that keys every neighbour on every visit.
+Each list belongs to its evaluator, which keeps it exact for encrypted
+addresses, whose match depends on the node that decrypts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from f2froute.addresses import (
     AddressKeys,
@@ -114,6 +126,18 @@ def _key_fn(emb, tree, dest, metric, address, keys):
     return order_key(metric, ppp_match)
 
 
+def _keyed_neighbours(g: Graph, emb: Embedding, tree: int, u: int, key, live) -> list[tuple]:
+    """(key, v) for each neighbour v of u that is live and has a
+    coordinate in the tree, in neighbour order, keyed as u sees it."""
+    keyed = []
+    for v in g.neighbors(u):
+        if live is None or live[v]:
+            c = emb.coord(tree, v)
+            if c is not None:
+                keyed.append((key(u, c), v))
+    return keyed
+
+
 def route(
     g: Graph,
     emb: Embedding,
@@ -142,29 +166,25 @@ def route(
         return RouteOutcome(True, 0, [src], route_length=0)
     key = _key_fn(emb, tree, dest, cfg.metric, address, keys)
     cap = cfg.max_hops if cfg.max_hops is not None else 4 * (g.node_count + g.edge_count)
-    forwarded: dict[int, set[int]] = {src: set()}
+    ranked: dict[int, tuple] = {}  # u -> (u's own key, u's untried options by key)
     chain = [src]
     hops = 0
     path = [src]
     while True:
         u = chain[-1]
-        own = key(u, emb.coord(tree, u))
-        cands = [
-            v
-            for v in g.neighbors(u)
-            if (live is None or live[v])
-            and v not in forwarded[u]
-            and emb.coord(tree, v) is not None
-        ]
-        best = None
-        best_key = None
-        if cands:
-            keyed = [(key(u, emb.coord(tree, v)), v) for v in cands]
-            best_key = min(k for k, _ in keyed)
-            best = [v for k, v in keyed if k == best_key]
-        if best is not None and best_key < own:
-            nxt = best[0] if len(best) == 1 else rng.choice(best)
-            forwarded[u].add(nxt)
+        if u not in ranked:
+            options = _keyed_neighbours(g, emb, tree, u, key, live)
+            options.sort(key=itemgetter(0))
+            ranked[u] = (key(u, emb.coord(tree, u)), options)
+        own, options = ranked[u]
+        if options and options[0][0] < own:
+            best_key = options[0][0]
+            ties = 1
+            while ties < len(options) and options[ties][0] == best_key:
+                ties += 1
+            # the same draw as rng.choice over the tie group in neighbour order
+            pick = 0 if ties == 1 else rng.choice(range(ties))
+            nxt = options.pop(pick)[1]
             hops += 1
             path.append(nxt)
             if hops > cap:
@@ -176,7 +196,6 @@ def route(
                     return RouteOutcome(False, hops, path, DROPPED)
                 path.append(u)  # the sender resumes after the silent drop
                 continue
-            forwarded.setdefault(nxt, set())
             chain.append(nxt)
             continue
         if not cfg.backtracking:
@@ -218,13 +237,9 @@ def select_trees(
     for i in range(gamma):
         addr = addresses[i] if addresses is not None else None
         key = _key_fn(emb, i, dest, cfg.metric, addr, keys)
-        cands = [
-            key(src, emb.coord(i, v))
-            for v in g.neighbors(src)
-            if (live is None or live[v]) and emb.coord(i, v) is not None
-        ]
-        if cands:
-            scored.append((min(cands), i))
+        options = _keyed_neighbours(g, emb, i, src, key, live)
+        if options:
+            scored.append((min(k for k, _ in options), i))
     scored.sort()
     picked = [i for _, i in scored[: cfg.tau]]
     if len(picked) < cfg.tau:  # fewer scorable trees than tau: fill uniformly

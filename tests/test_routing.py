@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from f2froute import routing
 from f2froute.addresses import add_ppp_layer, address_for_node, distribute_subtree_keys, generate_address_keys
 from f2froute.adversary import apply_att_rand, attach_attacker, inject_failures
 from f2froute.embedding import Embedding, EmbeddingConfig, assign_coordinates, delta_td
@@ -12,7 +13,9 @@ from f2froute.routing import (
     HOP_CAP,
     NO_PROGRESS,
     MultiRouteOutcome,
+    RouteOutcome,
     RoutingConfig,
+    _key_fn,
     greedy_path_exists,
     greedy_route,
     route,
@@ -276,19 +279,21 @@ def attacked_pairs():
     failed = inject_failures(g, 0.1, 25)
     live = [a and b for a, b in zip(mask.live, failed.live)]
     keys = generate_address_keys(g.node_count, 26, emb.cfg.bits_per_element)
+    for t in range(emb.gamma):
+        distribute_subtree_keys(ts, t, 28, keys, emb.cfg.bits_per_element)
     pairs = sample_pairs(g, live, 120, random.Random(27), exclude=(attacker,))
     addrs = [
         [address_for_node(emb, ts, d, t, keys[d], 1000 * k + t, 2000 * k + t) for t in range(emb.gamma)]
         for k, (_, d) in enumerate(pairs)
     ]
-    return g, emb, live, mask.drop_nodes, pairs, addrs
+    return g, emb, live, mask.drop_nodes, pairs, addrs, keys
 
 
 @pytest.mark.parametrize("choice", ["random-tau", "min-neighbor-distance"])
 @pytest.mark.parametrize("metric", ["TD", "CPL"])
 def test_rp_addresses_preserve_routes_at_scenario_scale(attacked_pairs, metric, choice):
     # route preservation: the same trees, hops and paths as on coordinates
-    g, emb, live, drop, pairs, addrs = attacked_pairs
+    g, emb, live, drop, pairs, addrs, _ = attacked_pairs
     cfg = RoutingConfig(tau=2, metric=metric, embedding_choice=choice)
     for k, (s, d) in enumerate(pairs):
         plain = route_multi(g, emb, s, d, cfg, live=live, drop_nodes=drop, rng=random.Random(k))
@@ -296,6 +301,108 @@ def test_rp_addresses_preserve_routes_at_scenario_scale(attacked_pairs, metric, 
             g, emb, s, d, cfg, live=live, drop_nodes=drop, addresses=addrs[k], rng=random.Random(k)
         )
         assert plain == masked, f"pair {s}->{d}"
+
+
+def reference_route(g, emb, src, dest, tree, cfg, live, drop_nodes, address, keys, rng):
+    """The per-visit search: every visit keys all untried neighbours
+    again. The reference that route's per-route ranked lists must match."""
+    if src == dest:
+        return RouteOutcome(True, 0, [src], route_length=0)
+    key = _key_fn(emb, tree, dest, cfg.metric, address, keys)
+    cap = cfg.max_hops if cfg.max_hops is not None else 4 * (g.node_count + g.edge_count)
+    forwarded = {src: set()}
+    chain, hops, path = [src], 0, [src]
+    while True:
+        u = chain[-1]
+        own = key(u, emb.coord(tree, u))
+        keyed = [
+            (key(u, emb.coord(tree, v)), v)
+            for v in g.neighbors(u)
+            if (live is None or live[v]) and v not in forwarded[u] and emb.coord(tree, v) is not None
+        ]
+        best_key = min((k for k, _ in keyed), default=None)
+        if keyed and best_key < own:
+            best = [v for k, v in keyed if k == best_key]
+            nxt = best[0] if len(best) == 1 else rng.choice(best)
+            forwarded[u].add(nxt)
+            hops += 1
+            path.append(nxt)
+            if hops > cap:
+                return RouteOutcome(False, hops, path, HOP_CAP)
+            if nxt == dest:
+                return RouteOutcome(True, hops, path, route_length=len(chain))
+            if nxt in drop_nodes:
+                if not cfg.backtracking:
+                    return RouteOutcome(False, hops, path, DROPPED)
+                path.append(u)
+                continue
+            forwarded.setdefault(nxt, set())
+            chain.append(nxt)
+            continue
+        if not cfg.backtracking:
+            return RouteOutcome(False, hops, path, NO_PROGRESS)
+        chain.pop()
+        if not chain:
+            return RouteOutcome(False, hops, path, NO_PROGRESS)
+        hops += 1
+        path.append(chain[-1])
+        if hops > cap:
+            return RouteOutcome(False, hops, path, HOP_CAP)
+
+
+@pytest.mark.parametrize("max_hops", [None, 4])
+@pytest.mark.parametrize("backtracking", [True, False])
+@pytest.mark.parametrize(
+    "metric, addressing",
+    [("TD", "coordinate"), ("CPL", "coordinate"), ("TD", "rp"), ("CPL", "rp"), ("CPL", "ppp")],
+)
+def test_route_matches_reference_loop(attacked_pairs, metric, addressing, backtracking, max_hops):
+    g, emb, live, drop, pairs, addrs, keys = attacked_pairs
+    cfg = RoutingConfig(metric=metric, backtracking=backtracking, max_hops=max_hops)
+    # the sampled pairs seldom pass the attacker, so the same destinations
+    # are also routed from its live neighbours
+    near = [v for a in drop for v in g.neighbors(a) if live[v]]
+    jobs = [(s, d, addrs[k]) for k, (s, d) in enumerate(pairs)]
+    jobs += [(near[k % len(near)], d, addrs[k]) for k, (_, d) in enumerate(pairs)]
+    reasons = set()
+    for k, (s, d, tree_addrs) in enumerate(jobs):
+        tree = k % emb.gamma
+        addr = None if addressing == "coordinate" else tree_addrs[tree]
+        if addressing == "ppp":
+            addr = add_ppp_layer(addr, keys[d], emb.cfg)
+        fast = route(g, emb, s, d, tree, cfg, live, drop, addr, keys, random.Random(k))
+        slow = reference_route(g, emb, s, d, tree, cfg, live, drop, addr, keys, random.Random(k))
+        assert fast == slow, f"pair {s}->{d} in tree {tree}"
+        reasons.add(fast.failure_reason)
+    # the jobs reach every exit of the loop that this configuration has
+    expected = {None, NO_PROGRESS}
+    expected |= {HOP_CAP} if max_hops else set()
+    expected |= set() if backtracking else {DROPPED}
+    assert expected <= reasons
+
+
+def test_route_keys_each_visited_node_once(attacked_pairs, monkeypatch):
+    # a backtracking route revisits nodes; each distinct node is keyed
+    # once (its own key plus one per eligible neighbour) per route
+    g, emb, live, drop, pairs, _, _ = attacked_pairs
+    calls = 0
+    cpl_of = routing.cpl
+
+    def counting_cpl(x1, x2):
+        nonlocal calls
+        calls += 1
+        return cpl_of(x1, x2)
+
+    monkeypatch.setattr(routing, "cpl", counting_cpl)
+    heavy = 0
+    for k, (s, d) in enumerate(pairs):
+        calls = 0
+        out = route(g, emb, s, d, k % emb.gamma, RoutingConfig(metric="CPL"), live=live,
+                    drop_nodes=drop, rng=random.Random(k))
+        visited = set(out.path)
+        assert calls <= sum(g.degree(u) + 1 for u in visited), f"pair {s}->{d}"
+        heavy += len(out.path) >= 3 * len(visited)
+    assert heavy >= 3  # routes that revisit their nodes several times over
 
 
 def test_oracle_refuses_large_instance():

@@ -10,7 +10,8 @@ construction for every strategy, `stabilization_metric`,
 `sample_pairs` (with failures and exclusions), in-place depart-and-join
 sequences, `run_scenario` CSVs, and `route_multi` outcomes for each
 metric, addressing mode and embedding choice on one att-rand instance
-with failures. It uses only calls that have kept their signatures, so
+with failures, then again without backtracking and under a small hop
+cap. It uses only calls that have kept their signatures, so
 it runs on older revisions too.
 """
 
@@ -69,21 +70,33 @@ def routing_digests() -> None:
     ]
     ppp = [[add_ppp_layer(a, keys[d], emb.cfg) for a in addrs] for addrs, (_, d) in zip(rp, pairs)]
     modes = {"coordinate": None, "rp": rp, "ppp": ppp}
-    for metric in ("TD", "CPL"):
-        for mode, addrs in modes.items():
-            if mode == "ppp" and metric != "CPL":
-                continue
-            for choice in EMBEDDING_CHOICE:
-                cfg = RoutingConfig(tau=2, metric=metric, embedding_choice=choice)
-                outs = [
-                    route_multi(
-                        g, emb, s, d, cfg, live=live, drop_nodes=mask.drop_nodes,
-                        addresses=None if addrs is None else addrs[k], keys=keys,
-                        rng=random.Random(k),
-                    )
-                    for k, (s, d) in enumerate(pairs)
-                ]
-                print(f"route.{metric}.{mode}.{choice}", digest(outs))
+    combos = [
+        (metric, mode, addrs)
+        for metric in ("TD", "CPL")
+        for mode, addrs in modes.items()
+        if mode != "ppp" or metric == "CPL"
+    ]
+
+    def print_routes(name, cfg, addrs):
+        outs = [
+            route_multi(
+                g, emb, s, d, cfg, live=live, drop_nodes=mask.drop_nodes,
+                addresses=None if addrs is None else addrs[k], keys=keys,
+                rng=random.Random(k),
+            )
+            for k, (s, d) in enumerate(pairs)
+        ]
+        print(f"route.{name}", digest(outs))
+
+    for metric, mode, addrs in combos:
+        for choice in EMBEDDING_CHOICE:
+            cfg = RoutingConfig(tau=2, metric=metric, embedding_choice=choice)
+            print_routes(f"{metric}.{mode}.{choice}", cfg, addrs)
+    # the early exits: a lost message without backtracking, and a hop cap
+    # that about half the failing attempts with backtracking reach
+    for metric, mode, addrs in combos:
+        print_routes(f"{metric}.{mode}.no-backtracking", RoutingConfig(tau=2, metric=metric, backtracking=False), addrs)
+        print_routes(f"{metric}.{mode}.max-hops-8", RoutingConfig(tau=2, metric=metric, max_hops=8), addrs)
 
 
 def main() -> None:
