@@ -6,6 +6,10 @@ against the cascade (the diversity measure) and take exactly the same
 greedy decision it would take on the plain coordinate, without learning
 the receiver's position. An optional symmetric-encryption layer bound to
 subtree keys further restricts evaluators to "closer than me" checks.
+
+H is a pure function of its input, so a router can share one
+`CascadeDigests` memo across all its evaluations of an address and hash
+each distinct cascade input once per route.
 """
 
 from __future__ import annotations
@@ -26,21 +30,58 @@ class UnsupportedMetricError(ValueError):
     """The requested metric is not defined for this address type."""
 
 
-def _shake(tag: bytes, *values: int, bits: int) -> int:
-    data = tag + b"".join((v % (1 << 256)).to_bytes(32, "little") for v in values)
+_WORD_MASK = (1 << 256) - 1
+
+
+def _word(value: int) -> bytes:
+    """The encoding of every hash input: 32 bytes little-endian, mod 2**256."""
+    return (value & _WORD_MASK).to_bytes(32, "little")
+
+
+def _digest(data: bytes, bits: int) -> int:
+    """The first `bits` bits of shake_256(data), read little-endian."""
+    return int.from_bytes(hashlib.shake_256(data).digest((bits + 7) // 8), "little") & ((1 << bits) - 1)
+
+
+def _hasher(prefix: bytes, bits: int):
+    """value -> _digest(prefix + _word(value), bits), with the digest width
+    and the mask computed once for every value it hashes."""
     nbytes = (bits + 7) // 8
-    out = int.from_bytes(hashlib.shake_256(data).digest(nbytes), "little")
-    return out & ((1 << bits) - 1)
+    mask = (1 << bits) - 1
+    shake = hashlib.shake_256
+    from_bytes = int.from_bytes
+
+    def h(value: int) -> int:
+        return from_bytes(shake(prefix + _word(value)).digest(nbytes), "little") & mask
+
+    return h
+
+
+def _shake(tag: bytes, *values: int, bits: int) -> int:
+    return _digest(tag + b"".join(map(_word, values)), bits)
 
 
 def hash_value(value: int, bits: int) -> int:
     """The pinned b-bit hash H used throughout the cascade."""
-    return _shake(b"hc", value, bits=bits)
+    return _digest(b"hc" + _word(value), bits)
 
 
 def prng_value(key: int, counter: int, bits: int) -> int:
     """Keyed pseudo-random generator evaluated at a counter position."""
-    return _shake(b"prng", key, counter, bits=bits)
+    return _digest(b"prng" + _word(key) + _word(counter), bits)
+
+
+class CascadeDigests(dict):
+    """H at one width, memoised: maps each cascade input to its digest and
+    hashes an input on its first lookup only. Exact, since H is pure."""
+
+    def __init__(self, bits: int):
+        super().__init__()
+        self._hash = _hasher(b"hc", bits)
+
+    def __missing__(self, value: int) -> int:
+        digest = self[value] = self._hash(value)
+        return digest
 
 
 def _sym_pad(key: int, bits: int) -> int:
@@ -62,10 +103,11 @@ def hash_cascade(elements, seed_value: int, bits: int) -> tuple[int, ...]:
     Entry j depends only on the seed value and the first j elements, so
     vectors agreeing on a prefix produce cascades agreeing on that prefix.
     """
+    h = _hasher(b"hc", bits)
     out = []
     prev = seed_value
     for e in elements:
-        prev = hash_value(prev ^ e, bits)
+        prev = h(prev ^ e)
         out.append(prev)
     return tuple(out)
 
@@ -193,7 +235,8 @@ def generate_rp(
     if l > big_l:
         raise ValueError(f"coordinate length {l} exceeds padding target {big_l}")
     while True:
-        padding = tuple(prng_value(s_pad, j, bits) for j in range(l + 1, big_l + 1))
+        draw = _hasher(b"prng" + _word(s_pad), bits)  # counter -> prng_value(s_pad, counter, bits)
+        padding = tuple(map(draw, range(l + 1, big_l + 1)))
         if l == big_l or padding[0] not in children_next_elements:
             break
         s_pad += 1
@@ -213,15 +256,17 @@ def verify_mac(addr: ReturnAddress | PppAddress, keys: AddressKeys, bits: int = 
     return _mac(keys.mac_key, vector, bits) == addr.mac_tag
 
 
-def _matched_prefix(vector: tuple[int, ...], c: Coordinate, seed_value: int, bits: int) -> int:
-    """Cascade c lazily and count agreement with the published vector."""
+def _matched_prefix(vector: tuple[int, ...], c: Coordinate, seed_value: int, digests) -> int:
+    """Cascade c lazily and count agreement with the published vector.
+
+    digests maps a cascade input to its digest under H, a CascadeDigests
+    shared by the evaluations of one route or a fresh one.
+    """
     prev = seed_value
     m = 0
-    for e in c:
-        if m >= len(vector):
-            break
-        prev = hash_value(prev ^ e, bits)
-        if prev != vector[m]:
+    for d, e in zip(vector, c):
+        prev = digests[prev ^ e]
+        if prev != d:
             break
         m += 1
     return m
@@ -235,8 +280,7 @@ def diversity_rp(
     Orders candidates exactly as the underlying distance to the issuer's
     coordinate does (route preservation).
     """
-    bits = cfg.bits_per_element
-    m = _matched_prefix(addr.digest_vector, c, addr.routing_seed, bits)
+    m = _matched_prefix(addr.digest_vector, c, addr.routing_seed, CascadeDigests(cfg.bits_per_element))
     big_l = len(addr.digest_vector)
     if metric == "TD":
         return big_l + len(c) - 2 * m
@@ -293,9 +337,8 @@ def diversity_ppp(
     """Prefix-distance of a candidate against a PPP address; CPL only."""
     if metric != "CPL":
         raise UnsupportedMetricError("the encrypted layer supports only the CPL metric")
-    bits = cfg.bits_per_element
     decrypted = ppp_partial_decrypt(addr, evaluator_keys, cfg)
-    m = _matched_prefix(decrypted, c, addr.routing_seed, bits)
+    m = _matched_prefix(decrypted, c, addr.routing_seed, CascadeDigests(cfg.bits_per_element))
     return cfg.cpl_constant - m - Fraction(1, len(decrypted) + len(c) + 1)
 
 
@@ -312,12 +355,12 @@ def candidate_receiver_set(
     not a neighbor. Otherwise every surviving neighbor remains consistent
     with the view, and so does any of its (unseen) descendants.
     """
-    bits = cfg.bits_per_element
+    digests = CascadeDigests(cfg.bits_per_element)
     matched: dict[int, list[int]] = {v: [] for v in neighbor_coords}
     argmins: list[set[int]] = []
     for i, addr in enumerate(addrs):
         for v, coords in neighbor_coords.items():
-            matched[v].append(_matched_prefix(addr.digest_vector, coords[i], addr.routing_seed, bits))
+            matched[v].append(_matched_prefix(addr.digest_vector, coords[i], addr.routing_seed, digests))
         key = order_key("CPL", lambda v, c: matched[v][i])
         keyed = {v: key(v, coords[i]) for v, coords in neighbor_coords.items()}
         best = min(keyed.values(), default=None)

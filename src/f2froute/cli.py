@@ -26,7 +26,7 @@ from f2froute.experiments import (
 from f2froute.graph import GraphFormatError, GenerationError, graph_stats
 from f2froute.overlay import DhtConfig
 from f2froute.routing import METRICS, RoutingConfig
-from f2froute.trees import STRATEGIES, TreeConfig
+from f2froute.trees import STRATEGIES, ConstructionError, JoinError, TreeConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +125,7 @@ def main(argv=None) -> int:
             print(f"graph stats written to {args.graph_stats}", file=sys.stderr)
         rows = run_scenario(scenario, workers=int(args.workers))
         write_csv(rows, args.out)
-    except (ValueError, GraphFormatError, GenerationError, OSError) as exc:
+    except (ValueError, GraphFormatError, GenerationError, ConstructionError, JoinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(rows)} metric rows to {args.out}", file=sys.stderr)

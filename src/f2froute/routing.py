@@ -24,7 +24,10 @@ backtracking into the node reads it instead of keying the neighbours
 again. The front tie group keeps neighbour order, so `rng` draws the
 same next hops as a search that keys every neighbour on every visit.
 Each list belongs to its evaluator, which keeps it exact for encrypted
-addresses, whose match depends on the node that decrypts.
+addresses, whose match depends on the node that decrypts. The digests of
+an address's cascade inputs are memoised per route for every evaluator:
+siblings share coordinate prefixes, and the hash of an input does not
+depend on who asks.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from operator import itemgetter
 
 from f2froute.addresses import (
     AddressKeys,
+    CascadeDigests,
     PppAddress,
     ReturnAddress,
     _matched_prefix,
@@ -101,18 +105,20 @@ class MultiRouteOutcome:
 def _key_fn(emb, tree, dest, metric, address, keys):
     """Per-evaluator comparison key; smaller means closer to the target.
 
-    The addressing mode only picks how the matched prefix is found.
+    The addressing mode only picks how the matched prefix is found. The
+    digests of an address's cascade inputs are shared by every evaluation
+    through this key, so each distinct input is hashed once.
     """
-    bits = emb.cfg.bits_per_element
     if address is None:
         dest_coord = emb.coord(tree, dest)
         if dest_coord is None:
             raise ValueError(f"destination {dest} has no coordinate in tree {tree}")
         return order_key(metric, lambda u, c: cpl(c, dest_coord))
     seed = address.routing_seed
+    digests = CascadeDigests(emb.cfg.bits_per_element)
     if isinstance(address, ReturnAddress):
         vec = address.digest_vector
-        return order_key(metric, lambda u, c: _matched_prefix(vec, c, seed, bits))
+        return order_key(metric, lambda u, c: _matched_prefix(vec, c, seed, digests))
     if metric != "CPL":
         raise ValueError("encrypted addresses route under the CPL metric only")
     decrypted: dict[int, tuple[int, ...]] = {}
@@ -121,7 +127,7 @@ def _key_fn(emb, tree, dest, metric, address, keys):
         vec = decrypted.get(u)
         if vec is None:
             vec = decrypted[u] = ppp_partial_decrypt(address, keys[u], emb.cfg)
-        return _matched_prefix(vec, c, seed, bits)
+        return _matched_prefix(vec, c, seed, digests)
 
     return order_key(metric, ppp_match)
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from f2froute import addresses
 from f2froute.addresses import (
     NON_NEIGHBOR,
     POSSIBLE_DESCENDANT,
@@ -20,6 +21,7 @@ from f2froute.addresses import (
     generate_address_keys,
     generate_rp,
     hash_cascade,
+    hash_value,
     ppp_partial_decrypt,
     prng_value,
     verify_mac,
@@ -306,3 +308,92 @@ def test_serialization_roundtrip_and_errors():
     odd = EmbeddingConfig(bits_per_element=3, max_length=4, cpl_constant=4)
     with pytest.raises(ValueError):
         make_addr((1,), keys).to_bytes(odd)
+
+
+# The hashing primitives as first written: one generic shake per element.
+# The rewritten ones must give the same outputs to the bit.
+def ref_shake(tag, *values, bits):
+    data = tag + b"".join((v % (1 << 256)).to_bytes(32, "little") for v in values)
+    nbytes = (bits + 7) // 8
+    out = int.from_bytes(hashlib.shake_256(data).digest(nbytes), "little")
+    return out & ((1 << bits) - 1)
+
+
+def ref_hash_value(value, bits):
+    return ref_shake(b"hc", value, bits=bits)
+
+
+def ref_prng_value(key, counter, bits):
+    return ref_shake(b"prng", key, counter, bits=bits)
+
+
+def ref_hash_cascade(elements, seed_value, bits):
+    out, prev = [], seed_value
+    for e in elements:
+        prev = ref_hash_value(prev ^ e, bits)
+        out.append(prev)
+    return tuple(out)
+
+
+def ref_generate_rp(x, mac_key, children_next, s, s_pad, cfg):
+    bits, big_l, l = cfg.bits_per_element, cfg.max_length, len(x)
+    while True:
+        padding = tuple(ref_prng_value(s_pad, j, bits) for j in range(l + 1, big_l + 1))
+        if l == big_l or padding[0] not in children_next:
+            break
+        s_pad += 1
+    k = ref_prng_value(s, 0, bits)
+    digests = ref_hash_cascade(tuple(x) + padding, k, bits)
+    return ReturnAddress(digests, k, ref_shake(b"mac", mac_key, *digests, bits=bits))
+
+
+# negative, zero, below and at or above 2**256: the encoding reduces mod 2**256
+WIDE = st.one_of(
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.sampled_from([0, -1, 1, 2**256 - 1, 2**256, 2**256 + 1, -(2**256), 2**512 + 7]),
+)
+WIDTHS = st.integers(min_value=1, max_value=256)
+
+
+@given(WIDE, WIDE, WIDTHS)
+def test_primitives_match_reference(value, counter, bits):
+    assert hash_value(value, bits) == ref_hash_value(value, bits)
+    assert prng_value(value, counter, bits) == ref_prng_value(value, counter, bits)
+    for values in [(value,), (value, counter), (counter, value, value ^ counter)]:
+        assert addresses._shake(b"mac", *values, bits=bits) == ref_shake(b"mac", *values, bits=bits)
+
+
+@given(st.lists(WIDE, max_size=12), WIDE, WIDTHS)
+def test_cascade_and_matcher_match_reference(elements, seed_value, bits):
+    vector = ref_hash_cascade(elements, seed_value, bits)
+    assert hash_cascade(elements, seed_value, bits) == vector
+    # candidates diverging at each position; one memo serves them all
+    shared = addresses.CascadeDigests(bits)
+    for cut in range(len(elements) + 1):
+        cand = elements[:cut] + [e ^ 1 for e in elements[cut : cut + 1]]
+        agree = [a == b for a, b in zip(vector, ref_hash_cascade(cand, seed_value, bits))]
+        want = agree.index(False) if False in agree else len(agree)
+        assert addresses._matched_prefix(vector, cand, seed_value, shared) == want
+        assert addresses._matched_prefix(vector, cand, seed_value, addresses.CascadeDigests(bits)) == want
+
+
+@given(
+    st.sampled_from([2, 7, 8, 13, 16, 64, 128, 256]),
+    st.integers(min_value=1, max_value=12),
+    st.data(),
+)
+def test_generate_rp_matches_reference(bits, big_l, data):
+    cfg = EmbeddingConfig(bits_per_element=bits, max_length=big_l, cpl_constant=big_l)
+    x = tuple(data.draw(st.lists(st.integers(0, 2**bits - 1), max_size=big_l), label="x"))
+    mac_key, s, s_pad = (data.draw(WIDE, label=name) for name in ("mac_key", "s", "s_pad"))
+    # block the first padding draw now and then to force a redraw
+    first = ref_prng_value(s_pad, len(x) + 1, bits)
+    children_next = {first} if data.draw(st.booleans(), label="block") else set()
+    keys = AddressKeys(mac_key=mac_key, subtree_keys={})
+    addr = generate_rp(x, keys, children_next, s, s_pad, cfg)
+    expected = ref_generate_rp(x, mac_key, children_next, s, s_pad, cfg)
+    assert addr == expected
+    assert verify_mac(addr, keys, bits)
+    assert ref_shake(b"mac", mac_key, *addr.digest_vector, bits=bits) == addr.mac_tag
+    if bits % 8 == 0:
+        assert addr.to_bytes(cfg) == expected.to_bytes(cfg)

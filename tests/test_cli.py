@@ -1,6 +1,8 @@
 import pytest
 
+from f2froute import experiments
 from f2froute.cli import load_config_file, main, parse_args, scenario_from_args
+from f2froute.trees import ConstructionError, JoinError
 
 
 def run_cli(args):
@@ -76,6 +78,19 @@ def test_edge_list_with_two_components_uses_the_giant_one(tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     assert out.read_text().splitlines()[0] == "scenario,metric,mean,ci95,runs"
     assert stats.read_text().splitlines()[1].split(",")[0] == "8"
+
+
+@pytest.mark.parametrize("error", [ConstructionError, JoinError])
+def test_tree_errors_exit_with_one_error_line(tmp_path, capsys, monkeypatch, error):
+    def failing_construct(*args, **kwargs):
+        raise error("no spanning tree for this input")
+
+    monkeypatch.setattr(experiments, "construct_trees", failing_construct)
+    code = run_cli(["--graph", "pa:60:2", "--pairs", "5", "--runs", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == ["error: no spanning tree for this input"]
+    assert "Traceback" not in err
 
 
 def test_graph_stats_export(tmp_path):

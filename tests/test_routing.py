@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -289,18 +290,29 @@ def attacked_pairs():
     return g, emb, live, mask.drop_nodes, pairs, addrs, keys
 
 
+def near_attacker_jobs(g, live, drop, pairs, addrs):
+    """The sampled pairs, then the same destinations routed from the
+    attacker's live neighbours: the sampled pairs seldom pass it."""
+    near = [v for a in drop for v in g.neighbors(a) if live[v]]
+    jobs = [(s, d, addrs[k]) for k, (s, d) in enumerate(pairs)]
+    return jobs + [(near[k % len(near)], d, addrs[k]) for k, (_, d) in enumerate(pairs)]
+
+
 @pytest.mark.parametrize("choice", ["random-tau", "min-neighbor-distance"])
 @pytest.mark.parametrize("metric", ["TD", "CPL"])
 def test_rp_addresses_preserve_routes_at_scenario_scale(attacked_pairs, metric, choice):
     # route preservation: the same trees, hops and paths as on coordinates
     g, emb, live, drop, pairs, addrs, _ = attacked_pairs
     cfg = RoutingConfig(tau=2, metric=metric, embedding_choice=choice)
-    for k, (s, d) in enumerate(pairs):
+    dropped = 0
+    for k, (s, d, tree_addrs) in enumerate(near_attacker_jobs(g, live, drop, pairs, addrs)):
         plain = route_multi(g, emb, s, d, cfg, live=live, drop_nodes=drop, rng=random.Random(k))
         masked = route_multi(
-            g, emb, s, d, cfg, live=live, drop_nodes=drop, addresses=addrs[k], rng=random.Random(k)
+            g, emb, s, d, cfg, live=live, drop_nodes=drop, addresses=tree_addrs, rng=random.Random(k)
         )
         assert plain == masked, f"pair {s}->{d}"
+        dropped += any(drop & set(a.path) for a in masked.attempts)
+    assert dropped >= 1  # some attempts pass through the attacker
 
 
 def reference_route(g, emb, src, dest, tree, cfg, live, drop_nodes, address, keys, rng):
@@ -359,13 +371,8 @@ def reference_route(g, emb, src, dest, tree, cfg, live, drop_nodes, address, key
 def test_route_matches_reference_loop(attacked_pairs, metric, addressing, backtracking, max_hops):
     g, emb, live, drop, pairs, addrs, keys = attacked_pairs
     cfg = RoutingConfig(metric=metric, backtracking=backtracking, max_hops=max_hops)
-    # the sampled pairs seldom pass the attacker, so the same destinations
-    # are also routed from its live neighbours
-    near = [v for a in drop for v in g.neighbors(a) if live[v]]
-    jobs = [(s, d, addrs[k]) for k, (s, d) in enumerate(pairs)]
-    jobs += [(near[k % len(near)], d, addrs[k]) for k, (_, d) in enumerate(pairs)]
     reasons = set()
-    for k, (s, d, tree_addrs) in enumerate(jobs):
+    for k, (s, d, tree_addrs) in enumerate(near_attacker_jobs(g, live, drop, pairs, addrs)):
         tree = k % emb.gamma
         addr = None if addressing == "coordinate" else tree_addrs[tree]
         if addressing == "ppp":
@@ -403,6 +410,34 @@ def test_route_keys_each_visited_node_once(attacked_pairs, monkeypatch):
         assert calls <= sum(g.degree(u) + 1 for u in visited), f"pair {s}->{d}"
         heavy += len(out.path) >= 3 * len(visited)
     assert heavy >= 3  # routes that revisit their nodes several times over
+
+
+@pytest.mark.parametrize("addressing", ["rp", "ppp"])
+def test_route_hashes_each_cascade_input_once(attacked_pairs, addressing, monkeypatch):
+    # siblings share coordinate prefixes and backtracking revisits nodes,
+    # yet a route hashes each distinct cascade input once
+    g, emb, live, drop, pairs, addrs, keys = attacked_pairs
+    inputs = []
+    shake = hashlib.shake_256
+
+    def counting_shake(data, *args, **kwargs):
+        if data.startswith(b"hc"):  # H, the cascade hash; not the MAC or the cipher pad
+            inputs.append(data)
+        return shake(data, *args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "shake_256", counting_shake)
+    backtracked = 0
+    for k, (s, d) in enumerate(pairs):
+        tree = k % emb.gamma
+        addr = addrs[k][tree]
+        if addressing == "ppp":
+            addr = add_ppp_layer(addr, keys[d], emb.cfg)
+        inputs.clear()
+        out = route(g, emb, s, d, tree, RoutingConfig(metric="CPL"), live=live,
+                    drop_nodes=drop, address=addr, keys=keys, rng=random.Random(k))
+        assert inputs and len(inputs) == len(set(inputs)), f"pair {s}->{d}"
+        backtracked += len(out.path) > len(set(out.path))
+    assert backtracked >= 3
 
 
 def test_oracle_refuses_large_instance():

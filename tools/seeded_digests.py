@@ -11,8 +11,12 @@ construction for every strategy, `stabilization_metric`,
 sequences, `run_scenario` CSVs, and `route_multi` outcomes for each
 metric, addressing mode and embedding choice on one att-rand instance
 with failures, then again without backtracking and under a small hop
-cap. It uses only calls that have kept their signatures, so
-it runs on older revisions too.
+cap. Last come the return addresses that instance issues: per tree, the
+rp addresses' digest vectors, routing seeds, MAC tags and byte records,
+and the ppp addresses' encrypted vectors, seeds and tags; then rp
+addresses at a width that is not a multiple of 8 bits. It uses only
+calls that have kept their signatures, so it runs on older revisions
+too.
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ import random
 import tempfile
 
 from f2froute import experiments, trees
-from f2froute.addresses import add_ppp_layer, address_for_node, distribute_subtree_keys, generate_address_keys
+from f2froute.addresses import (
+    add_ppp_layer,
+    address_for_node,
+    distribute_subtree_keys,
+    generate_address_keys,
+    generate_rp,
+)
 from f2froute.adversary import AdversaryConfig, apply_att_rand, attach_attacker, choose_roots, inject_failures
 from f2froute.embedding import EmbeddingConfig
 from f2froute.routing import EMBEDDING_CHOICE, RoutingConfig, route_multi
@@ -97,6 +107,25 @@ def routing_digests() -> None:
     for metric, mode, addrs in combos:
         print_routes(f"{metric}.{mode}.no-backtracking", RoutingConfig(tau=2, metric=metric, backtracking=False), addrs)
         print_routes(f"{metric}.{mode}.max-hops-8", RoutingConfig(tau=2, metric=metric, max_hops=8), addrs)
+    address_digests(emb, keys, pairs, rp, ppp)
+
+
+def address_digests(emb, keys, pairs, rp, ppp) -> None:
+    """Every field of the issued addresses, per tree and addressing mode."""
+    for t in range(emb.gamma):
+        issued = [addrs[t] for addrs in rp]
+        fields = [(a.digest_vector, a.routing_seed, a.mac_tag, a.to_bytes(emb.cfg)) for a in issued]
+        print(f"address.rp.tree{t}", digest(fields))
+    for t in range(emb.gamma):
+        issued = [addrs[t] for addrs in ppp]
+        print(f"address.ppp.tree{t}", digest([(a.encrypted_vector, a.routing_seed, a.mac_tag) for a in issued]))
+    # 13-bit elements: the digest mask cuts inside a byte
+    narrow = EmbeddingConfig(bits_per_element=13, max_length=24, cpl_constant=24)
+    issued = [
+        generate_rp(emb.coord(k % emb.gamma, d), keys[d], set(), 300 * k, 400 * k, narrow)
+        for k, (_, d) in enumerate(pairs)
+    ]
+    print("address.rp.bits13", digest([(a.digest_vector, a.routing_seed, a.mac_tag) for a in issued]))
 
 
 def main() -> None:
