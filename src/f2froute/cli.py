@@ -116,6 +116,9 @@ def scenario_from_args(args: argparse.Namespace) -> Scenario:
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
+        workers = int(args.workers)
+        if workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {workers}")
         scenario = scenario_from_args(args)
         if args.graph_stats:
             g = resolve_graph(scenario.graph, scenario.master_seed)
@@ -123,7 +126,7 @@ def main(argv=None) -> int:
             with open(args.graph_stats, "w", encoding="utf-8") as fh:
                 fh.write(stats.CSV_HEADER + "\n" + stats.csv_row() + "\n")
             print(f"graph stats written to {args.graph_stats}", file=sys.stderr)
-        rows = run_scenario(scenario, workers=int(args.workers))
+        rows = run_scenario(scenario, workers=workers)
         write_csv(rows, args.out)
     except (ValueError, GraphFormatError, GenerationError, ConstructionError, JoinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,11 +4,18 @@ Each node's coordinate is its parent's coordinate extended by a fresh
 random b-bit element, so nodes in the same subtree share a prefix. Two
 distances are provided: the tree hop distance and a common-prefix-length
 dominant distance that avoids routes through the root.
+
+An embedding also keeps each tree's coordinates in lexicographic order.
+The coordinates that start with a prefix p form one contiguous run of
+that order, so a node's common prefix length with a target follows from
+its rank alone (`TreeRanks`).
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +23,9 @@ from fractions import Fraction
 from f2froute.trees import TreeSet
 
 Coordinate = tuple[int, ...]
+
+# w in each metric's routing key len(c) - w * m, m the matched prefix
+MATCH_WEIGHT = {"TD": 2, "CPL": 1 << 32}
 
 
 @dataclass
@@ -31,12 +41,54 @@ class EmbeddingConfig:
             raise ValueError("max_length must be >= 1")
 
 
+class TreeRanks:
+    """One tree's coordinates in lexicographic order.
+
+    rank[v] is node v's position in `ordered`, or -1 if v has no
+    coordinate; length[v] is the length of its coordinate.
+    """
+
+    __slots__ = ("ordered", "rank", "length")
+
+    def __init__(self, coords: list[Coordinate | None]):
+        present = [v for v, c in enumerate(coords) if c is not None]
+        present.sort(key=coords.__getitem__)
+        self.ordered = [coords[v] for v in present]
+        self.rank = rank = array("i", [-1]) * len(coords)
+        for r, v in enumerate(present):
+            rank[v] = r
+        self.length = array("i", [0 if c is None else len(c) for c in coords])
+
+    def match_table(self, target: Coordinate, weight: int = 1) -> tuple[list[int], list[int]]:
+        """(bounds, table): for a node v with a coordinate,
+        table[bisect_right(bounds, rank[v])] is weight times the length of
+        the prefix it shares with target.
+
+        The coordinates that start with p = target[:k] are exactly those
+        in [p, p[:-1] + (p[-1] + 1,)) for any set of integer tuples, so
+        each k takes two bisections. The runs are nested, which makes
+        bounds = lo_1..lo_L, hi_L..hi_1 sorted.
+        """
+        ordered = self.ordered
+        lo, hi = 0, len(ordered)
+        los, his = [], []
+        for k, e in enumerate(target):
+            lo = bisect_left(ordered, target[: k + 1], lo, hi)
+            hi = bisect_left(ordered, target[:k] + (e + 1,), lo, hi)
+            los.append(lo)
+            his.append(hi)
+        n = len(target)
+        table = [weight * m for m in range(n + 1)]
+        return los + his[::-1], table + table[-2::-1]
+
+
 class Embedding:
     """Per-tree coordinate maps; immutable between stabilization events."""
 
     def __init__(self, coords: list[list[Coordinate | None]], cfg: EmbeddingConfig):
         self.coords = coords
         self.cfg = cfg
+        self.ranks = [TreeRanks(tree) for tree in coords]
 
     @property
     def gamma(self) -> int:
@@ -132,9 +184,12 @@ def order_key(metric: str, match):
     match(u, c) is c's common prefix length with the target as u can tell
     it. The keys order like delta_td and delta_cpl toward a fixed target,
     leaving out its length, which an address hides behind padding.
+
+    Every key is len(c) - w * match(u, c) with the weight of the metric,
+    MATCH_WEIGHT: 2 for TD, and for CPL a weight above any length, which
+    orders and ties like (-match, len).
     """
-    if metric == "TD":
-        return lambda u, c: len(c) - 2 * match(u, c)
-    if metric == "CPL":
-        return lambda u, c: (-match(u, c), len(c))
-    raise ValueError(f"unknown metric {metric!r}")
+    if metric not in MATCH_WEIGHT:
+        raise ValueError(f"unknown metric {metric!r}")
+    w = MATCH_WEIGHT[metric]
+    return lambda u, c: len(c) - w * match(u, c)

@@ -9,11 +9,21 @@ Since improving edges strictly decrease the distance the chain is a
 simple path, and the search discovers a route exactly when a path of
 responsive nodes with strictly decreasing distance exists.
 
-Every addressing mode supplies only the matched prefix of a candidate
-with the target (by `cpl`, by cascading the candidate against a return
-address, or the same after partial decryption of an encrypted one) to
-the one key per metric, `embedding.order_key`. Route preservation thus
-holds by construction, for the choice of trees as well as every hop.
+Every addressing mode supplies only the matched prefix m of a candidate
+with the target (from the candidate's rank, by cascading the candidate
+against a return address, or the same after partial decryption of an
+encrypted one) to the one key per metric, len(c) - w * m with the
+weight `embedding.MATCH_WEIGHT`. Route preservation thus holds by
+construction, for the choice of trees as well as every hop.
+
+Coordinates find m without a prefix walk. For each prefix p of the
+target's coordinate, the coordinates that start with p are one run of
+the tree's lexicographic order, found by two bisections once per route.
+The runs are nested, so one more bisection on the candidate's rank gives
+its m. This holds for any set of integer tuples: the run of p is
+[p, p[:-1] + (p[-1] + 1,)) in tuple order whether or not the set is
+closed under prefixes, so it is exact for the prefixes an att-rand
+attacker fabricates for its children, which match no real ancestor.
 
 The simulation keys each node once per route. On a node's first visit
 `route` computes its own key and the keys of its live neighbours that
@@ -33,7 +43,8 @@ depend on who asks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from f2froute.addresses import (
@@ -44,7 +55,7 @@ from f2froute.addresses import (
     _matched_prefix,
     ppp_partial_decrypt,
 )
-from f2froute.embedding import Coordinate, Embedding, EmbeddingConfig, cpl, order_key
+from f2froute.embedding import MATCH_WEIGHT, Coordinate, Embedding, EmbeddingConfig, TreeRanks, order_key
 from f2froute.graph import Graph
 
 METRICS = ("TD", "CPL")
@@ -103,44 +114,59 @@ class MultiRouteOutcome:
 
 
 def _key_fn(emb, tree, dest, metric, address, keys):
-    """Per-evaluator comparison key; smaller means closer to the target.
+    """keyed(u, nodes, live): (key, v) for each v in nodes that is live
+    and has a coordinate in the tree, in order, keyed as u sees it.
 
-    The addressing mode only picks how the matched prefix is found. The
-    digests of an address's cascade inputs are shared by every evaluation
-    through this key, so each distinct input is hashed once.
+    A key is len(c) - w * m for candidate coordinate c with matched
+    prefix m; smaller means closer to the target. Coordinates read m from
+    the candidate's rank, addresses from the hash cascade, whose digests
+    are shared by every evaluation through this key, so each distinct
+    input is hashed once.
     """
     if address is None:
         dest_coord = emb.coord(tree, dest)
         if dest_coord is None:
             raise ValueError(f"destination {dest} has no coordinate in tree {tree}")
-        return order_key(metric, lambda u, c: cpl(c, dest_coord))
+        ranks = emb.ranks[tree]
+        rank, length = ranks.rank, ranks.length
+        bounds, wm = ranks.match_table(dest_coord, MATCH_WEIGHT[metric])
+
+        def keyed(u, nodes, live):
+            if live is None:
+                return [(length[v] - wm[bisect_right(bounds, r)], v) for v in nodes if (r := rank[v]) >= 0]
+            return [
+                (length[v] - wm[bisect_right(bounds, r)], v) for v in nodes if live[v] and (r := rank[v]) >= 0
+            ]
+
+        return keyed
     seed = address.routing_seed
     digests = CascadeDigests(emb.cfg.bits_per_element)
     if isinstance(address, ReturnAddress):
         vec = address.digest_vector
-        return order_key(metric, lambda u, c: _matched_prefix(vec, c, seed, digests))
-    if metric != "CPL":
+        key = order_key(metric, lambda u, c: _matched_prefix(vec, c, seed, digests))
+    elif metric != "CPL":
         raise ValueError("encrypted addresses route under the CPL metric only")
-    decrypted: dict[int, tuple[int, ...]] = {}
+    else:
+        decrypted: dict[int, tuple[int, ...]] = {}
 
-    def ppp_match(u, c):
-        vec = decrypted.get(u)
-        if vec is None:
-            vec = decrypted[u] = ppp_partial_decrypt(address, keys[u], emb.cfg)
-        return _matched_prefix(vec, c, seed, digests)
+        def ppp_match(u, c):
+            vec = decrypted.get(u)
+            if vec is None:
+                vec = decrypted[u] = ppp_partial_decrypt(address, keys[u], emb.cfg)
+            return _matched_prefix(vec, c, seed, digests)
 
-    return order_key(metric, ppp_match)
+        key = order_key(metric, ppp_match)
+    coords = emb.coords[tree]
 
+    def keyed(u, nodes, live):
+        out = []
+        for v in nodes:
+            if live is None or live[v]:
+                c = coords[v]
+                if c is not None:
+                    out.append((key(u, c), v))
+        return out
 
-def _keyed_neighbours(g: Graph, emb: Embedding, tree: int, u: int, key, live) -> list[tuple]:
-    """(key, v) for each neighbour v of u that is live and has a
-    coordinate in the tree, in neighbour order, keyed as u sees it."""
-    keyed = []
-    for v in g.neighbors(u):
-        if live is None or live[v]:
-            c = emb.coord(tree, v)
-            if c is not None:
-                keyed.append((key(u, c), v))
     return keyed
 
 
@@ -156,6 +182,8 @@ def route(
     address: ReturnAddress | PppAddress | None = None,
     keys: list[AddressKeys] | None = None,
     rng: random.Random | None = None,
+    *,
+    _keyed=None,
 ) -> RouteOutcome:
     """Route one message from src toward dest's coordinate in one tree.
 
@@ -164,13 +192,16 @@ def route(
     it; with backtracking the sender notices the silence and retries its
     next option, without backtracking the message is simply lost. When
     an address is given the comparison runs on the address while success
-    is still recognition by the issuer.
+    is still recognition by the issuer. `route_multi` passes the key that
+    chose the tree as _keyed, so the two share their memos.
     """
     if rng is None:
         rng = random.Random(0)
     if src == dest:
         return RouteOutcome(True, 0, [src], route_length=0)
-    key = _key_fn(emb, tree, dest, cfg.metric, address, keys)
+    if emb.coord(tree, src) is None:
+        raise ValueError(f"source {src} has no coordinate in tree {tree}")
+    keyed = _keyed or _key_fn(emb, tree, dest, cfg.metric, address, keys)
     cap = cfg.max_hops if cfg.max_hops is not None else 4 * (g.node_count + g.edge_count)
     ranked: dict[int, tuple] = {}  # u -> (u's own key, u's untried options by key)
     chain = [src]
@@ -179,9 +210,9 @@ def route(
     while True:
         u = chain[-1]
         if u not in ranked:
-            options = _keyed_neighbours(g, emb, tree, u, key, live)
+            options = keyed(u, g.neighbors(u), live)
             options.sort(key=itemgetter(0))
-            ranked[u] = (key(u, emb.coord(tree, u)), options)
+            ranked[u] = (keyed(u, (u,), None)[0][0], options)
         own, options = ranked[u]
         if options and options[0][0] < own:
             best_key = options[0][0]
@@ -215,11 +246,6 @@ def route(
             return RouteOutcome(False, hops, path, HOP_CAP)
 
 
-def greedy_route(g, emb, src, dest, tree, cfg, **kw) -> RouteOutcome:
-    """route without the backtracking fallback; stops at local optima."""
-    return route(g, emb, src, dest, tree, replace(cfg, backtracking=False), **kw)
-
-
 def select_trees(
     g: Graph,
     emb: Embedding,
@@ -232,18 +258,24 @@ def select_trees(
     keys=None,
 ) -> list[int]:
     """Pick the tau embeddings a source sends over."""
+    return _select_trees(g, emb, src, dest, cfg, live, rng, addresses, keys)[0]
+
+
+def _select_trees(g, emb, src, dest, cfg, live, rng, addresses, keys) -> tuple[list[int], dict]:
+    """select_trees, plus the key it built for each tree it scored."""
     gamma = emb.gamma
     if cfg.tau > gamma:
         raise ValueError(f"tau={cfg.tau} exceeds the {gamma} available embeddings")
     if cfg.tau == gamma:
-        return list(range(gamma))
+        return list(range(gamma)), {}
     if cfg.embedding_choice == "random-tau":
-        return sorted(rng.sample(range(gamma), cfg.tau))
+        return sorted(rng.sample(range(gamma), cfg.tau)), {}
     scored = []
+    keyed = {}
     for i in range(gamma):
         addr = addresses[i] if addresses is not None else None
-        key = _key_fn(emb, i, dest, cfg.metric, addr, keys)
-        options = _keyed_neighbours(g, emb, i, src, key, live)
+        keyed[i] = _key_fn(emb, i, dest, cfg.metric, addr, keys)
+        options = keyed[i](src, g.neighbors(src), live)
         if options:
             scored.append((min(k for k, _ in options), i))
     scored.sort()
@@ -251,7 +283,7 @@ def select_trees(
     if len(picked) < cfg.tau:  # fewer scorable trees than tau: fill uniformly
         rest = [i for i in range(gamma) if i not in picked]
         picked += rng.sample(rest, cfg.tau - len(picked))
-    return sorted(picked)
+    return sorted(picked), keyed
 
 
 def route_multi(
@@ -274,7 +306,7 @@ def route_multi(
     """
     if rng is None:
         rng = random.Random(0)
-    trees = select_trees(g, emb, src, dest, cfg, live, rng, addresses, keys)
+    trees, keyed = _select_trees(g, emb, src, dest, cfg, live, rng, addresses, keys)
     attempts = []
     total = 0
     best = None
@@ -282,7 +314,7 @@ def route_multi(
         addr = addresses[i] if addresses is not None else None
         out = route(
             g, emb, src, dest, i, cfg,
-            live=live, drop_nodes=drop_nodes, address=addr, keys=keys, rng=rng,
+            live=live, drop_nodes=drop_nodes, address=addr, keys=keys, rng=rng, _keyed=keyed.get(i),
         )
         attempts.append(out)
         total += out.hops
@@ -321,20 +353,22 @@ def greedy_path_exists(
         return False
     if src == dest:
         return True
-    key = order_key(metric, lambda u, c: cpl(c, dest_coord))
+    ranks = TreeRanks(coords)
+    bounds, wm = ranks.match_table(dest_coord, MATCH_WEIGHT[metric])
+    key = [length - wm[bisect_right(bounds, r)] for r, length in zip(ranks.rank, ranks.length)]
 
     # edges only go from larger to strictly smaller key: plain DFS suffices
     seen = {src}
     stack = [src]
     while stack:
         u = stack.pop()
-        ku = key(u, coords[u])
+        ku = key[u]
         for v in g.neighbors(u):
             if v in seen or coords[v] is None:
                 continue
             if live is not None and not live[v]:
                 continue
-            if key(v, coords[v]) < ku:
+            if key[v] < ku:
                 if v == dest:
                     return True
                 seen.add(v)

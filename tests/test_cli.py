@@ -62,6 +62,17 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_with_one_error_line(tmp_path, capsys, workers):
+    # only values below 1: the run is refused before any process starts
+    out = tmp_path / "x.csv"
+    code = run_cli(["--graph", "pa:60:2", "--pairs", "5", "--runs", "1", "--workers", workers, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: --workers must be >= 1, got {workers}"]
+    assert not out.exists()
+
+
 def test_bad_graph_spec_exit_code(tmp_path, capsys):
     code = run_cli(["--graph", "/no/such/file", "--out", str(tmp_path / "x.csv")])
     assert code == 1

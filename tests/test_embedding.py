@@ -1,11 +1,14 @@
 import random
+from bisect import bisect_right
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from f2froute.adversary import apply_att_rand, attach_attacker
 from f2froute.embedding import (
     Embedding,
     EmbeddingConfig,
+    TreeRanks,
     assign_coordinates,
     cpl,
     delta_cpl,
@@ -122,6 +125,46 @@ def test_cpl_order_key_orders_like_delta_cpl(a, x, y):
 def test_td_order_key_is_delta_td_less_target_length(a, x):
     key = order_key("TD", lambda u, c: cpl(c, a))
     assert key(None, x) == delta_td(x, a) - len(a)
+
+
+def assert_rank_matches_cpl(coord_list, targets, weight=1):
+    ranks = TreeRanks(coord_list)
+    assert ranks.ordered == sorted(c for c in coord_list if c is not None)
+    for target in targets:
+        bounds, table = ranks.match_table(target, weight)
+        for v, c in enumerate(coord_list):
+            if c is None:
+                assert ranks.rank[v] == -1
+                continue
+            assert ranks.ordered[ranks.rank[v]] == c and ranks.length[v] == len(c)
+            assert table[bisect_right(bounds, ranks.rank[v])] == weight * cpl(c, target)
+
+
+# few distinct elements, so that prefixes are shared and elements repeat
+# across levels; lists hold None and duplicates, and are seldom closed
+# under prefixes
+rank_coords = st.lists(st.integers(min_value=0, max_value=3) | st.just(2**128 - 1), max_size=5).map(tuple)
+
+
+@given(st.lists(st.none() | rank_coords, max_size=12), rank_coords, st.sampled_from([1, 2, 1 << 32]))
+@example([(0, 1), None, (0, 1), (1, 1, 1), (0, 1, 0, 2), (), (2, 0)], (0, 1, 0), 1)
+def test_rank_matched_prefix_equals_cpl(coord_list, extra, weight):
+    present = [c for c in coord_list if c is not None]
+    assert_rank_matches_cpl(coord_list, present + [extra], weight)
+
+
+def test_rank_matched_prefix_equals_cpl_under_att_rand():
+    # the attacker's children carry fabricated prefixes that no node
+    # holds; 8-bit elements let them share leading elements with real ones
+    g, attacker = attach_attacker(generate_synthetic("pa", 120, 2, seed=3), 6, 4)
+    cfg = EmbeddingConfig(bits_per_element=8, max_length=32, cpl_constant=32)
+    _, emb, _ = apply_att_rand(g, attacker, TreeConfig(gamma=3, rng_seed=5), cfg, 6)
+    fabricated = 0
+    for tree in emb.coords:
+        held = set(tree)
+        fabricated += sum(1 for c in tree if c and c[:-1] not in held)
+        assert_rank_matches_cpl(tree, [c for c in tree if c is not None])
+    assert fabricated  # the sets are not closed under prefixes
 
 
 def test_delta_cpl_prefix_dominates_length():

@@ -1,12 +1,22 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
 from f2froute import routing
-from f2froute.addresses import add_ppp_layer, address_for_node, distribute_subtree_keys, generate_address_keys
+from f2froute.addresses import (
+    CascadeDigests,
+    ReturnAddress,
+    _matched_prefix,
+    add_ppp_layer,
+    address_for_node,
+    distribute_subtree_keys,
+    generate_address_keys,
+    ppp_partial_decrypt,
+)
 from f2froute.adversary import apply_att_rand, attach_attacker, inject_failures
-from f2froute.embedding import Embedding, EmbeddingConfig, assign_coordinates, delta_td
+from f2froute.embedding import Embedding, EmbeddingConfig, assign_coordinates, cpl, delta_td
 from f2froute.experiments import sample_pairs
 from f2froute.graph import Graph, generate_synthetic
 from f2froute.routing import (
@@ -16,9 +26,7 @@ from f2froute.routing import (
     MultiRouteOutcome,
     RouteOutcome,
     RoutingConfig,
-    _key_fn,
     greedy_path_exists,
-    greedy_route,
     route,
     route_multi,
     select_trees,
@@ -52,6 +60,15 @@ def test_source_is_destination():
     g, ts, emb = build(n=20)
     out = route(g, emb, 4, 4, 0, RoutingConfig())
     assert out.success and out.hops == 0 and out.path == [4] and out.route_length == 0
+
+
+def test_endpoints_without_coordinate_are_refused():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    emb = Embedding([[None, (), (5,)]], CFG)
+    with pytest.raises(ValueError, match="source 0"):
+        route(g, emb, 0, 2, 0, RoutingConfig())
+    with pytest.raises(ValueError, match="destination 0"):
+        route(g, emb, 2, 0, 0, RoutingConfig())
 
 
 def test_path_graph_follows_tree():
@@ -89,7 +106,7 @@ def local_minimum_instance():
 def test_backtracking_beats_greedy_on_local_minimum():
     g, emb = local_minimum_instance()
     cfg = RoutingConfig(metric="TD")
-    assert not greedy_route(g, emb, 0, 3, 0, cfg).success
+    assert not route(g, emb, 0, 3, 0, replace(cfg, backtracking=False)).success
     out = route(g, emb, 0, 3, 0, cfg)
     assert out.success
     assert out.path == [0, 1, 0, 2, 3]  # forward, backtrack, then the detour
@@ -101,10 +118,11 @@ def test_greedy_equals_route_without_failures_on_tree():
     g, ts, emb = build(n=40)
     n = g.node_count
     rng = random.Random(5)
+    cfg = RoutingConfig(metric="CPL")
     for _ in range(100):
         s, d = rng.randrange(n), rng.randrange(n)
-        a = route(g, emb, s, d, 0, RoutingConfig(metric="CPL"), rng=random.Random(1))
-        b = greedy_route(g, emb, s, d, 0, RoutingConfig(metric="CPL"), rng=random.Random(1))
+        a = route(g, emb, s, d, 0, cfg, rng=random.Random(1))
+        b = route(g, emb, s, d, 0, replace(cfg, backtracking=False), rng=random.Random(1))
         assert a.success and b.success and a.path == b.path
 
 
@@ -132,12 +150,13 @@ def test_greedy_never_beats_backtracking():
     n = g.node_count
     live = [rng.random() > 0.25 for _ in range(n)]
     wins_r, wins_gr = 0, 0
+    cfg = RoutingConfig(metric="TD")
     for _ in range(200):
         s, d = rng.randrange(n), rng.randrange(n)
         if not (live[s] and live[d]):
             continue
-        r = route(g, emb, s, d, 0, RoutingConfig(metric="TD"), live=live, rng=random.Random(3))
-        gr = greedy_route(g, emb, s, d, 0, RoutingConfig(metric="TD"), live=live, rng=random.Random(3))
+        r = route(g, emb, s, d, 0, cfg, live=live, rng=random.Random(3))
+        gr = route(g, emb, s, d, 0, replace(cfg, backtracking=False), live=live, rng=random.Random(3))
         assert r.success or not gr.success  # gr success implies r success
         wins_r += r.success
         wins_gr += gr.success
@@ -315,12 +334,34 @@ def test_rp_addresses_preserve_routes_at_scenario_scale(attacked_pairs, metric, 
     assert dropped >= 1  # some attempts pass through the attacker
 
 
+def reference_key(emb, tree, dest, metric, address, keys):
+    """key(u, c) by the distances' own terms: len(c) - 2m for TD and
+    (-m, len(c)) for CPL, with m found by walking the prefix or the
+    cascade afresh on every evaluation."""
+    if address is None:
+        dest_coord = emb.coord(tree, dest)
+
+        def match(u, c):
+            return cpl(c, dest_coord)
+    else:
+        def match(u, c):
+            if isinstance(address, ReturnAddress):
+                vec = address.digest_vector
+            else:
+                vec = ppp_partial_decrypt(address, keys[u], emb.cfg)
+            return _matched_prefix(vec, c, address.routing_seed, CascadeDigests(emb.cfg.bits_per_element))
+    if metric == "TD":
+        return lambda u, c: len(c) - 2 * match(u, c)
+    return lambda u, c: (-match(u, c), len(c))
+
+
 def reference_route(g, emb, src, dest, tree, cfg, live, drop_nodes, address, keys, rng):
     """The per-visit search: every visit keys all untried neighbours
-    again. The reference that route's per-route ranked lists must match."""
+    again. The reference that route's per-route ranked lists and rank
+    keys must match."""
     if src == dest:
         return RouteOutcome(True, 0, [src], route_length=0)
-    key = _key_fn(emb, tree, dest, cfg.metric, address, keys)
+    key = reference_key(emb, tree, dest, cfg.metric, address, keys)
     cap = cfg.max_hops if cfg.max_hops is not None else 4 * (g.node_count + g.edge_count)
     forwarded = {src: set()}
     chain, hops, path = [src], 0, [src]
@@ -393,14 +434,20 @@ def test_route_keys_each_visited_node_once(attacked_pairs, monkeypatch):
     # once (its own key plus one per eligible neighbour) per route
     g, emb, live, drop, pairs, _, _ = attacked_pairs
     calls = 0
-    cpl_of = routing.cpl
+    key_fn = routing._key_fn
 
-    def counting_cpl(x1, x2):
-        nonlocal calls
-        calls += 1
-        return cpl_of(x1, x2)
+    def counting_key_fn(*args):
+        keyed = key_fn(*args)
 
-    monkeypatch.setattr(routing, "cpl", counting_cpl)
+        def counting_keyed(u, nodes, live):
+            nonlocal calls
+            out = keyed(u, nodes, live)
+            calls += len(out)
+            return out
+
+        return counting_keyed
+
+    monkeypatch.setattr(routing, "_key_fn", counting_key_fn)
     heavy = 0
     for k, (s, d) in enumerate(pairs):
         calls = 0
@@ -412,10 +459,19 @@ def test_route_keys_each_visited_node_once(attacked_pairs, monkeypatch):
     assert heavy >= 3  # routes that revisit their nodes several times over
 
 
-@pytest.mark.parametrize("addressing", ["rp", "ppp"])
-def test_route_hashes_each_cascade_input_once(attacked_pairs, addressing, monkeypatch):
+@pytest.mark.parametrize(
+    "addressing, choice",
+    [
+        pytest.param(mode, choice, id=mode if choice is None else f"{mode}-{choice}")
+        for choice in (None, "min-neighbor-distance")
+        for mode in ("rp", "ppp")
+    ],
+)
+def test_route_hashes_each_cascade_input_once(attacked_pairs, addressing, choice, monkeypatch):
     # siblings share coordinate prefixes and backtracking revisits nodes,
-    # yet a route hashes each distinct cascade input once
+    # yet a route hashes each distinct cascade input once; so does a
+    # route_multi call that keys the source's neighbours in every tree to
+    # choose its trees and then routes on some of them
     g, emb, live, drop, pairs, addrs, keys = attacked_pairs
     inputs = []
     shake = hashlib.shake_256
@@ -428,15 +484,20 @@ def test_route_hashes_each_cascade_input_once(attacked_pairs, addressing, monkey
     monkeypatch.setattr(hashlib, "shake_256", counting_shake)
     backtracked = 0
     for k, (s, d) in enumerate(pairs):
-        tree = k % emb.gamma
-        addr = addrs[k][tree]
+        tree_addrs = addrs[k]
         if addressing == "ppp":
-            addr = add_ppp_layer(addr, keys[d], emb.cfg)
+            tree_addrs = [add_ppp_layer(a, keys[d], emb.cfg) for a in tree_addrs]
         inputs.clear()
-        out = route(g, emb, s, d, tree, RoutingConfig(metric="CPL"), live=live,
-                    drop_nodes=drop, address=addr, keys=keys, rng=random.Random(k))
+        if choice is None:
+            tree = k % emb.gamma
+            outs = [route(g, emb, s, d, tree, RoutingConfig(metric="CPL"), live=live,
+                          drop_nodes=drop, address=tree_addrs[tree], keys=keys, rng=random.Random(k))]
+        else:
+            cfg = RoutingConfig(tau=2, metric="CPL", embedding_choice=choice)
+            outs = route_multi(g, emb, s, d, cfg, live=live, drop_nodes=drop, addresses=tree_addrs,
+                               keys=keys, rng=random.Random(k)).attempts
         assert inputs and len(inputs) == len(set(inputs)), f"pair {s}->{d}"
-        backtracked += len(out.path) > len(set(out.path))
+        backtracked += any(len(out.path) > len(set(out.path)) for out in outs)
     assert backtracked >= 3
 
 

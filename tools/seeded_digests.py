@@ -11,12 +11,13 @@ construction for every strategy, `stabilization_metric`,
 sequences, `run_scenario` CSVs, and `route_multi` outcomes for each
 metric, addressing mode and embedding choice on one att-rand instance
 with failures, then again without backtracking and under a small hop
-cap. Last come the return addresses that instance issues: per tree, the
+cap. Then come the return addresses that instance issues: per tree, the
 rp addresses' digest vectors, routing seeds, MAC tags and byte records,
 and the ppp addresses' encrypted vectors, seeds and tags; then rp
-addresses at a width that is not a multiple of 8 bits. It uses only
-calls that have kept their signatures, so it runs on older revisions
-too.
+addresses at a width that is not a multiple of 8 bits. Last, DHT lookups
+per metric, on a network without failed nodes and on one with them,
+each with the routing tables they leave behind. It uses only calls that
+have kept their signatures, so it runs on older revisions too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 import random
 import tempfile
 
-from f2froute import experiments, trees
+from f2froute import experiments, overlay, trees
 from f2froute.addresses import (
     add_ppp_layer,
     address_for_node,
@@ -36,7 +37,7 @@ from f2froute.addresses import (
     generate_rp,
 )
 from f2froute.adversary import AdversaryConfig, apply_att_rand, attach_attacker, choose_roots, inject_failures
-from f2froute.embedding import EmbeddingConfig
+from f2froute.embedding import EmbeddingConfig, assign_coordinates
 from f2froute.routing import EMBEDDING_CHOICE, RoutingConfig, route_multi
 from f2froute.trees import STRATEGIES, TreeConfig
 
@@ -128,6 +129,25 @@ def address_digests(emb, keys, pairs, rp, ppp) -> None:
     print("address.rp.bits13", digest([(a.digest_vector, a.routing_seed, a.mac_tag) for a in issued]))
 
 
+def dht_digests() -> None:
+    """dht_lookup outcomes, overlay paths included, and the routing tables
+    the lookups leave behind, without failed nodes (live=None) and with."""
+    g = experiments.resolve_graph("pa:400:3", 7)
+    ts = trees.construct_trees(g, TreeConfig(gamma=5, strategy="BFS", rng_seed=15), choose_roots(g, 5, 15))
+    emb = assign_coordinates(ts, EmbeddingConfig(), 16)
+    dht = overlay.DhtConfig(alpha=2)
+    for failures, live in (("none", None), ("failures", inject_failures(g, 0.2, 17).live)):
+        origins = [v for v in range(g.node_count) if live is None or live[v]]
+        draw = random.Random(18)
+        lookups = [(draw.getrandbits(overlay.ID_BITS), draw.choice(origins)) for _ in range(200)]
+        for metric in ("TD", "CPL"):
+            nodes = overlay.build_overlay(g, dht, 19)  # fresh: lookups evict unreachable entries
+            rcfg = RoutingConfig(tau=2, metric=metric)
+            rng = random.Random(20)
+            outs = [overlay.dht_lookup(key, o, nodes, g, emb, dht, rcfg, live=live, rng=rng) for key, o in lookups]
+            print(f"dht.{metric}.{failures}", digest((outs, [nd.buckets for nd in nodes])))
+
+
 def main() -> None:
     g = experiments.resolve_graph("pa:400:3", 7)
     roots = choose_roots(g, 5, 7)
@@ -164,6 +184,7 @@ def main() -> None:
                     print(f"run_scenario.{strategy}.{mode}", digest(fh.read()))
 
     routing_digests()
+    dht_digests()
 
 
 if __name__ == "__main__":
