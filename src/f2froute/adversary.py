@@ -50,9 +50,6 @@ class LiveMask:
     def drop_nodes(self) -> frozenset[int]:
         return frozenset() if self.attacker is None else frozenset({self.attacker})
 
-    def is_live(self, v: int) -> bool:
-        return self.live[v]
-
     def live_nodes(self) -> list[int]:
         return [v for v, ok in enumerate(self.live) if ok]
 

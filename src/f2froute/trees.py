@@ -63,7 +63,11 @@ class TreeSet:
 
     parent[i][v] is ABSENT while v is outside tree i, ROOT for the root.
     pc[v] maps a neighbor to the number of trees in which that neighbor
-    is currently v's parent.
+    is currently v's parent. max_join_round[i] is the running maximum of
+    join_round[i], raised by `attach`, the only writer of join rounds, so
+    that a join reads it without scanning the tree. It stays exact because
+    every stamp is at least the maximum so far (construction rounds grow,
+    joins and reattachments add ts.clock to it); `validate` checks this.
     """
 
     def __init__(self, n: int, roots: list[int], cfg: TreeConfig | None = None):
@@ -75,6 +79,7 @@ class TreeSet:
         self.join_round = [[-1] * n for _ in range(gamma)]
         self.children = [[[] for _ in range(n)] for _ in range(gamma)]
         self.pc = [dict() for _ in range(n)]
+        self.max_join_round = [0] * gamma
         self.clock = 0
         for i, r in enumerate(roots):
             self.parent[i][r] = ROOT
@@ -96,6 +101,8 @@ class TreeSet:
         self.parent[tree][v] = parent
         self.level[tree][v] = self.level[tree][parent] + 1
         self.join_round[tree][v] = round_no
+        if round_no > self.max_join_round[tree]:
+            self.max_join_round[tree] = round_no
         self.children[tree][parent].append(v)
         self.pc[v][parent] = self.pc[v].get(parent, 0) + 1
 
@@ -135,6 +142,7 @@ class TreeSet:
         dup.parent = [list(p) for p in self.parent]
         dup.level = [list(l) for l in self.level]
         dup.join_round = [list(j) for j in self.join_round]
+        dup.max_join_round = list(self.max_join_round)
         dup.children = [[list(c) for c in tree] for tree in self.children]
         dup.pc = [dict(d) for d in self.pc]
         dup.clock = self.clock
@@ -152,6 +160,7 @@ class TreeSet:
     def validate(self, g: Graph) -> None:
         """Assert structural invariants; raises AssertionError on violation."""
         for i in range(self.gamma):
+            assert self.max_join_round[i] == max(self.join_round[i])
             for v in range(self.node_count):
                 p = self.parent[i][v]
                 if p == ABSENT:
@@ -209,21 +218,6 @@ def choose_invitation(
         low = min(lvl for _, _, lvl in cands)
         cands = [c for c in cands if c[2] == low]
     return rng.choice(cands)
-
-
-def elect_root(g: Graph, policy: str, seed: int, node: int | None = None) -> int:
-    """Stand-in for a distributed root election; deterministic per seed."""
-    if g.node_count == 0:
-        raise ValueError("empty graph")
-    if policy == "fixed":
-        if node is None or not 0 <= node < g.node_count:
-            raise ValueError(f"fixed root {node} out of range [0, {g.node_count})")
-        return node
-    if policy == "max-degree":
-        return max(range(g.node_count), key=lambda v: (g.degree(v), -v))
-    if policy == "random":
-        return random.Random(seed).randrange(g.node_count)
-    raise ValueError(f"unknown root policy {policy!r}")
 
 
 class TreeBuilder:
@@ -328,7 +322,9 @@ def handle_join(ts: TreeSet, g: Graph, new_node: int, seed: int = 0) -> TreeSet:
 
     Neighbors are assumed to invite one round after their recorded
     join_round; the node applies `choose_invitation` locally, with the
-    q and strategy the trees were built with (ts.cfg).
+    q and strategy the trees were built with (ts.cfg). A round with no
+    invitation pending is skipped: the replay jumps to the next arrival,
+    and no random number is drawn in the rounds it passes over.
     """
     rng = random.Random(seed)
     missing = [i for i in range(ts.gamma) if not ts.in_tree(i, new_node)]
@@ -360,6 +356,8 @@ def handle_join(ts: TreeSet, g: Graph, new_node: int, seed: int = 0) -> TreeSet:
             if tree not in joined:
                 pending.setdefault(tree, []).append((w, lvl))
         if not pending:
+            # a missing tree is unjoined, so its invitations are still to come
+            round_no = events[idx][0] - 1
             continue
         choice = choose_invitation(pc, degree, pending, rng, ts.cfg)
         if choice is None:
@@ -370,7 +368,7 @@ def handle_join(ts: TreeSet, g: Graph, new_node: int, seed: int = 0) -> TreeSet:
         del pending[tree]
     ts.clock += 1
     for tree, w in joined.items():
-        ts.attach(tree, new_node, w, ts.clock + max(ts.join_round[tree]))
+        ts.attach(tree, new_node, w, ts.clock + ts.max_join_round[tree])
     return ts
 
 
@@ -427,7 +425,7 @@ def _reattach(ts, g, tree, subtree_roots, detached, rng):
                 continue
             best = min(ts.pc[c].get(v, 0) for v in cands)
             pick = rng.choice([v for v in cands if ts.pc[c].get(v, 0) == best])
-            ts.attach(tree, c, pick, ts.clock + max(ts.join_round[tree]))
+            ts.attach(tree, c, pick, ts.clock + ts.max_join_round[tree])
             for d in _relevel(ts, tree, c):
                 detached.discard(d)
             detached.discard(c)

@@ -139,5 +139,5 @@ def test_att_rand_children_do_not_share_attacker_prefix():
 def test_all_live_helper():
     m = all_live(5, attacker=2)
     assert m.live_nodes() == [0, 1, 2, 3, 4]
-    assert m.is_live(2) and m.drop_nodes == {2}
+    assert m.live[2] and m.drop_nodes == {2}
     assert all_live(3).drop_nodes == frozenset()

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +15,11 @@ from f2froute.trees import (
     TreeBuilder,
     TreeConfig,
     TreeSet,
+    _relevel,
+    _reroot_subtree,
     choose_invitation,
     construct_trees,
     descendants_count,
-    elect_root,
     handle_departure,
     handle_join,
 )
@@ -126,19 +128,6 @@ def test_div_dep_prefers_lower_level():
     invs = {0: [(5, 3), (6, 1), (7, 2)]}
     cfg = TreeConfig(strategy="DIV-DEP")
     assert choose_invitation({}, 3, invs, random.Random(0), cfg) == (0, 6, 1)
-
-
-def test_elect_root_policies():
-    g = star_graph(5)
-    assert elect_root(g, "max-degree", 0) == 0
-    assert elect_root(g, "fixed", 0, node=3) == 3
-    r = elect_root(g, "random", 42)
-    assert 0 <= r < 5
-    assert elect_root(g, "random", 42) == r
-    with pytest.raises(ValueError):
-        elect_root(g, "fixed", 0, node=9)
-    with pytest.raises(ValueError):
-        elect_root(g, "loudest", 0)
 
 
 def test_handle_join_attaches_everywhere():
@@ -335,3 +324,179 @@ def test_depart_join_sequences_keep_invariants(strategy, m, gamma, seed, moves):
             continue  # a neighborhood stranded in some tree
         assert all(ts.parent[i][v] in g.neighbors(v) for i in range(gamma))
         assert_consistent(ts, g)
+
+
+# Reference join and departure for the differential test below: the
+# replay steps through every round, empty ones included, and each attach
+# stamp scans the whole tree for its latest join round.
+
+
+def reference_handle_join(ts, g, new_node, seed=0):
+    rng = random.Random(seed)
+    missing = [i for i in range(ts.gamma) if not ts.in_tree(i, new_node)]
+    if not missing:
+        raise JoinError(f"node {new_node} already in every tree")
+    for i in missing:
+        if not any(ts.in_tree(i, w) for w in g.neighbors(new_node)):
+            raise JoinError(f"node {new_node} has no neighbor in tree {i}")
+    events = []
+    for i in missing:
+        for w in g.neighbors(new_node):
+            if ts.in_tree(i, w):
+                events.append((ts.join_round[i][w] + 1, i, w, ts.level[i][w]))
+    events.sort()
+    pending, joined = {}, {}
+    pc = dict(ts.pc[new_node])
+    degree = g.degree(new_node)
+    round_no, idx = 0, 0
+    cap = (events[-1][0] if events else 0) + int(500 / ts.cfg.accept_prob)
+    while len(joined) < len(missing):
+        round_no += 1
+        if round_no > cap:
+            raise JoinError(f"join replay for node {new_node} did not converge")
+        while idx < len(events) and events[idx][0] <= round_no:
+            _, tree, w, lvl = events[idx]
+            idx += 1
+            if tree not in joined:
+                pending.setdefault(tree, []).append((w, lvl))
+        if not pending:
+            continue
+        choice = choose_invitation(pc, degree, pending, rng, ts.cfg)
+        if choice is None:
+            continue
+        tree, w, _ = choice
+        joined[tree] = w
+        pc[w] = pc.get(w, 0) + 1
+        del pending[tree]
+    ts.clock += 1
+    for tree, w in joined.items():
+        ts.attach(tree, new_node, w, ts.clock + max(ts.join_round[tree]))
+    return ts
+
+
+def reference_handle_departure(ts, g, node, seed=0):
+    root_trees = [i for i in range(ts.gamma) if ts.roots[i] == node]
+    if root_trees:
+        raise RootDepartureError(node, root_trees)
+    rng = random.Random(seed)
+    ts.clock += 1
+    reassigned = 0
+    for i in range(ts.gamma):
+        if not ts.in_tree(i, node):
+            continue
+        detached = set()
+        subtree_roots = list(ts.children[i][node])
+        for c in subtree_roots:
+            detached.add(c)
+            detached.update(ts.descendants(i, c))
+            ts.parent[i][c] = ABSENT
+            ts.release_parent(c, node)
+        reassigned += len(detached)
+        old_parent = ts.parent[i][node]
+        if old_parent >= 0:
+            ts.children[i][old_parent].remove(node)
+            ts.release_parent(node, old_parent)
+        ts.parent[i][node] = ABSENT
+        ts.level[i][node] = -1
+        ts.children[i][node] = []
+        rng.shuffle(subtree_roots)
+        _reference_reattach(ts, g, i, subtree_roots, detached, rng)
+    return ts, reassigned
+
+
+def _reference_reattach(ts, g, tree, subtree_roots, detached, rng):
+    while subtree_roots:
+        progress = False
+        for c in list(subtree_roots):
+            cands = [v for v in g.neighbors(c) if ts.in_tree(tree, v) and v not in detached]
+            if not cands:
+                continue
+            best = min(ts.pc[c].get(v, 0) for v in cands)
+            pick = rng.choice([v for v in cands if ts.pc[c].get(v, 0) == best])
+            ts.attach(tree, c, pick, ts.clock + max(ts.join_round[tree]))
+            for d in _relevel(ts, tree, c):
+                detached.discard(d)
+            detached.discard(c)
+            subtree_roots.remove(c)
+            progress = True
+        if progress:
+            continue
+        rerooted = False
+        for c in list(subtree_roots):
+            for d in [c] + ts.descendants(tree, c):
+                if any(ts.in_tree(tree, v) and v not in detached for v in g.neighbors(d)):
+                    if d != c:
+                        _reroot_subtree(ts, tree, c, d)
+                        subtree_roots.remove(c)
+                        subtree_roots.append(d)
+                    rerooted = True
+                    break
+            if rerooted:
+                break
+        if not rerooted:
+            for c in subtree_roots:
+                for d in [c] + ts.descendants(tree, c):
+                    p = ts.parent[tree][d]
+                    if p >= 0:
+                        ts.release_parent(d, p)
+                    ts.parent[tree][d] = ABSENT
+                    ts.level[tree][d] = -1
+                    ts.children[tree][d] = []
+            return
+
+
+def outcome(call, *args, **kwargs):
+    """What the call returned besides the TreeSet, or what it raised."""
+    try:
+        out = call(*args, **kwargs)
+    except (JoinError, RootDepartureError) as exc:
+        return type(exc), str(exc)
+    return out[1:] if isinstance(out, tuple) else None
+
+
+def full_state(ts):
+    return ts.parent, ts.level, ts.join_round, ts.children, ts.pc, ts.clock
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=st.sampled_from([(s, 0.5) for s in STRATEGIES] + [("DIV-DEP", 0.3)]),
+    m=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    moves=st.lists(st.integers(0, 10_000), min_size=1, max_size=25),
+)
+def test_churn_matches_reference(config, m, seed, moves):
+    # m = 1 gives a tree graph: departures strand nodes, and some rejoins
+    # raise JoinError; the jump over idle rounds must draw the same numbers
+    strategy, q = config
+    g = generate_synthetic("pa", 30, m, seed=seed)
+    gamma = 3
+    cfg = TreeConfig(gamma=gamma, accept_prob=q, strategy=strategy, rng_seed=seed)
+    ts = construct_trees(g, cfg, list(range(gamma)))
+    ref = ts.copy()
+    for k, move in enumerate(moves):
+        v = gamma + move % (g.node_count - gamma)
+        for new, old in ((handle_departure, reference_handle_departure), (handle_join, reference_handle_join)):
+            assert outcome(new, ts, g, v, seed=seed + k) == outcome(old, ref, g, v, seed=seed + k)
+            assert full_state(ts) == full_state(ref)
+            ts.validate(g)
+
+
+def test_join_skips_idle_rounds():
+    # the inviters joined near round 10**12; a replay that stepped through
+    # every empty round before their invitations arrive would never finish
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
+    ts = TreeSet(4, [0, 0], TreeConfig(gamma=2, accept_prob=0.3))
+    for i, far in enumerate((10**12, 10**12 + 7)):
+        ts.attach(i, 1, 0, far)
+        ts.attach(i, 2, 1, far + 1)
+    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("join replay walked the idle rounds"))
+    signal.alarm(5)
+    try:
+        handle_join(ts, g, 3, seed=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_consistent(ts, g)
+    assert ts.max_join_round == [max(j) for j in ts.join_round]
+    assert min(ts.join_round[i][3] for i in range(2)) > 10**12

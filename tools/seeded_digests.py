@@ -16,7 +16,8 @@ rp addresses' digest vectors, routing seeds, MAC tags and byte records,
 and the ppp addresses' encrypted vectors, seeds and tags; then rp
 addresses at a width that is not a multiple of 8 bits. Last, DHT lookups
 per metric, on a network without failed nodes and on one with them,
-each with the routing tables they leave behind. It uses only calls that
+each with the routing tables they leave behind. Then, per strategy, the
+whole tree state after 300 departures and rejoins. It uses only calls that
 have kept their signatures, so it runs on older revisions too.
 """
 
@@ -148,6 +149,19 @@ def dht_digests() -> None:
             print(f"dht.{metric}.{failures}", digest((outs, [nd.buckets for nd in nodes])))
 
 
+def churn_digests() -> None:
+    """The whole tree state after a long depart-and-join sequence, per
+    strategy: long enough for join rounds to lie hundreds apart."""
+    g = experiments.resolve_graph("pa:600:3", 21)
+    roots = choose_roots(g, 8, 21)
+    for strategy, q in [(s, 0.5) for s in STRATEGIES] + [("DIV-DEP", 0.3)]:
+        cfg = TreeConfig(gamma=8, accept_prob=q, strategy=strategy, rng_seed=22)
+        ts = trees.construct_trees(g, cfg, roots)
+        log = depart_join(ts, g, roots, 300, 23)
+        name = strategy if q == 0.5 else f"{strategy}.q{q}"
+        print(f"churn.{name}", digest((log, tree_state(ts), ts.clock)))
+
+
 def main() -> None:
     g = experiments.resolve_graph("pa:400:3", 7)
     roots = choose_roots(g, 5, 7)
@@ -185,6 +199,7 @@ def main() -> None:
 
     routing_digests()
     dht_digests()
+    churn_digests()
 
 
 if __name__ == "__main__":
