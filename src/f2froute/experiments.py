@@ -13,8 +13,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from scipy import stats
-
 from f2froute.adversary import (
     AdversaryConfig,
     all_live,
@@ -202,6 +200,61 @@ def _run_once(s: Scenario, run_idx: int) -> dict[str, float]:
     return out
 
 
+def _beta_fraction(x: float, a: float, b: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method;
+    it converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300  # stands in for a denominator that comes out exactly 0
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1) or tiny)
+    h = d
+    for k in range(1, 10_000):
+        even = k * (b - k) * x / ((a + 2 * k - 1) * (a + 2 * k))
+        odd = -(a + k) * (a + b + k) * x / ((a + 2 * k) * (a + 2 * k + 1))
+        for num in (even, odd):
+            d = 1.0 / (1.0 + num * d or tiny)
+            c = 1.0 + num / c or tiny
+            h *= c * d
+        if abs(c * d - 1.0) < 3e-16:
+            break
+    return h
+
+
+def _incomplete_beta(x: float, y: float, a: float, b: float) -> float:
+    """Regularised incomplete beta I_x(a, b), given x and y = 1 - x
+    separately so that neither loses digits to the subtraction."""
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1) / (a + b + 2):
+        return front * _beta_fraction(x, a, b) / a
+    return 1.0 - front * _beta_fraction(y, b, a) / b
+
+
+def t_quantile(q: float, df: int) -> float:
+    """Quantile of Student's t distribution with df degrees of freedom,
+    for 0.5 < q < 1, by bisection on the upper tail
+    P(T > t) = I_x(df/2, 1/2) / 2 with x = df / (df + t^2)."""
+    if not 0.5 < q < 1 or df < 1:
+        raise ValueError(f"need 0.5 < q < 1 and df >= 1, got q={q}, df={df}")
+
+    def upper_tail(t: float) -> float:
+        t2 = t * t
+        if not t2:
+            return 0.5
+        return _incomplete_beta(df / (df + t2), t2 / (df + t2), df / 2, 0.5) / 2
+
+    lo, hi = 0.0, 1.0
+    while upper_tail(hi) > 1 - q:
+        lo, hi = hi, 2 * hi
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return hi
+        if upper_tail(mid) > 1 - q:
+            lo = mid
+        else:
+            hi = mid
+
+
 def aggregate(label: str, per_run: list[dict[str, float]], metrics) -> list[MetricRow]:
     rows = []
     for m in metrics:
@@ -212,7 +265,7 @@ def aggregate(label: str, per_run: list[dict[str, float]], metrics) -> list[Metr
         mean = sum(vals) / n
         if n > 1:
             sd = math.sqrt(sum((v - mean) ** 2 for v in vals) / (n - 1))
-            ci = float(stats.t.ppf(0.975, n - 1)) * sd / math.sqrt(n)
+            ci = t_quantile(0.975, n - 1) * sd / math.sqrt(n)
         else:
             ci = 0.0
         rows.append(MetricRow(label, m, mean, ci, n))

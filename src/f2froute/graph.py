@@ -7,11 +7,10 @@ symmetric, deduplicated, and self-loop free.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
 
 UNREACHABLE = -1
 
@@ -117,28 +116,54 @@ def load_edge_list(path) -> Graph:
     return Graph.from_edges(len(id_map), edges)
 
 
+def _preferential_attachment_edges(n: int, m: int, rng: random.Random):
+    """Barabási–Albert growth: each new node links to m distinct existing
+    nodes drawn in proportion to their degree.
+
+    Starts from a star on m + 1 nodes (centre 0). `repeated` lists every
+    node once per incident edge, so a uniform draw from it is a
+    degree-proportional draw.
+    """
+    yield from ((0, v) for v in range(1, m + 1))
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        yield from ((source, t) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+
+
+def _gnp_edges(n: int, p: float, rng: random.Random):
+    """G(n, p): each of the n(n-1)/2 pairs independently with probability p."""
+    pairs = itertools.combinations(range(n), 2)
+    if p >= 1:
+        return pairs
+    return (e for e in pairs if rng.random() < p)
+
+
 def generate_synthetic(model: str, n: int, param: float, seed: int) -> Graph:
     """Generate a connected synthetic graph, deterministic for a fixed seed.
 
     model: "erdos-renyi" (param = edge probability) or
-    "preferential-attachment" (param = attachment degree m).
+    "preferential-attachment" (param = integer attachment degree m).
     Disconnected outputs are reduced to their giant component.
     """
     if n < 2:
         raise GenerationError(f"need n >= 2, got {n}")
+    rng = random.Random(seed)
     if model in ("erdos-renyi", "er"):
         if not 0 < param <= 1:
             raise GenerationError(f"edge probability must be in (0, 1], got {param}")
-        nxg = nx.gnp_random_graph(n, param, seed=seed)
+        edges = _gnp_edges(n, param, rng)
     elif model in ("preferential-attachment", "pa"):
-        m = int(param)
-        if m < 1 or m >= n:
-            raise GenerationError(f"attachment degree must be in [1, n), got {param}")
-        nxg = nx.barabasi_albert_graph(n, m, seed=seed)
+        if not float(param).is_integer() or not 1 <= param < n:
+            raise GenerationError(f"attachment degree must be an integer in [1, n), got {param}")
+        edges = _preferential_attachment_edges(n, int(param), rng)
     else:
         raise GenerationError(f"unknown model {model!r}")
-    g = Graph.from_edges(n, nxg.edges())
-    g = giant_component(g)
+    g = giant_component(Graph.from_edges(n, edges))
     if g.node_count < 2:
         raise GenerationError(f"{model}(n={n}, param={param}) yielded a giant component of size {g.node_count}")
     return g

@@ -107,9 +107,9 @@ def build_overlay(
     n = g.node_count
     ids = assign_ids(n, seed)
     nodes = [DhtNode(ids[v]) for v in range(n)]
-
-    def entry(w: int) -> BucketEntry:
-        return BucketEntry(ids[w], w, addresses[w] if addresses is not None else None)
+    # one entry per node, shared by every bucket that holds it: its fields
+    # are per-node values, so no table needs a copy of its own
+    entries = [BucketEntry(ids[w], w, addresses[w] if addresses is not None else None) for w in range(n)]
 
     def fill(members: list[int], depth: int) -> None:
         if len(members) <= 1 or depth >= ID_BITS:
@@ -125,7 +125,7 @@ def build_overlay(
                     pick = sibling
                 else:
                     pick = rng.sample(sibling, cfg.bucket_size)
-                nodes[v].buckets[depth] = [entry(w) for w in pick]
+                nodes[v].buckets[depth] = [entries[w] for w in pick]
         fill(zeros, depth + 1)
         fill(ones, depth + 1)
 

@@ -73,6 +73,16 @@ def test_workers_below_one_exit_with_one_error_line(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def test_fractional_attachment_degree_exits_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run_cli(["--graph", "pa:1000:2.5", "--pairs", "5", "--runs", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: attachment degree must be an integer in [1, n), got 2.5"
+    ]
+    assert not out.exists()
+
+
 def test_bad_graph_spec_exit_code(tmp_path, capsys):
     code = run_cli(["--graph", "/no/such/file", "--out", str(tmp_path / "x.csv")])
     assert code == 1

@@ -14,6 +14,7 @@ from f2froute.experiments import (
     run_scenario,
     sample_pairs,
     stabilization_metric,
+    t_quantile,
     write_csv,
 )
 from f2froute.graph import Graph, generate_synthetic
@@ -224,6 +225,27 @@ def test_aggregate_ci_formula():
     assert abs(row.ci95 - 3.182446 * math.sqrt(5 / 3) / 2) < 1e-5
     assert aggregate("x", per_run, ("missing",)) == []
     assert aggregate("x", [{"m": 1.0}], ("m",))[0].ci95 == 0.0
+
+
+def test_t_quantile_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for df in range(1, 2001):
+        ours, ref = t_quantile(0.975, df), float(stats.t.ppf(0.975, df))
+        assert abs(ours - ref) <= 1e-12 * ref, df
+        assert f"{ours:.9g}" == f"{ref:.9g}", df
+    for q, df in [(0.6, 4), (0.9, 30), (0.995, 2)]:
+        assert t_quantile(q, df) == pytest.approx(float(stats.t.ppf(q, df)), rel=1e-12)
+    # aggregate's ci95 carries the quantile for n - 1 degrees of freedom
+    per_run = [{"m": float(v * v % 7)} for v in range(20)]
+    row = aggregate("x", per_run, ("m",))[0]
+    sd = math.sqrt(sum((r["m"] - row.mean) ** 2 for r in per_run) / 19)
+    assert row.ci95 == pytest.approx(float(stats.t.ppf(0.975, 19)) * sd / math.sqrt(20), rel=1e-12)
+
+
+@pytest.mark.parametrize("q, df", [(0.5, 3), (1.0, 3), (0.975, 0)])
+def test_t_quantile_rejects_arguments_out_of_range(q, df):
+    with pytest.raises(ValueError):
+        t_quantile(q, df)
 
 
 def test_write_csv_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from f2froute.graph import (
     Graph,
@@ -71,6 +72,8 @@ def test_generate_synthetic_rejects_bad_params():
         generate_synthetic("er", 100, 1.5, seed=0)
     with pytest.raises(GenerationError):
         generate_synthetic("pa", 10, 0, seed=0)
+    with pytest.raises(GenerationError, match="integer"):
+        generate_synthetic("pa", 100, 2.5, seed=0)
     with pytest.raises(GenerationError):
         generate_synthetic("no-such-model", 10, 1, seed=0)
     with pytest.raises(GenerationError):
@@ -123,3 +126,43 @@ def test_graph_stats_csv_row():
     row = st.csv_row()
     assert row.split(",")[0] == "4"
     assert len(row.split(",")) == len(st.CSV_HEADER.split(","))
+
+
+def reference_or_none(nx_graph, n):
+    """The giant component of a networkx graph as adjacency lists, or None
+    when it is too small to be a usable graph."""
+    g = giant_component(Graph.from_edges(n, nx_graph.edges()))
+    return g.adjacency if g.node_count >= 2 else None
+
+
+def synthetic_or_none(model, n, param, seed):
+    try:
+        return generate_synthetic(model, n, param, seed).adjacency
+    except GenerationError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nm=st.integers(2, 150).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nm=(40, 39), seed=1)
+@example(nm=(2, 1), seed=0)
+def test_preferential_attachment_matches_networkx(nm, seed):
+    nx = pytest.importorskip("networkx")
+    n, m = nm
+    assert generate_synthetic("pa", n, m, seed).adjacency == reference_or_none(nx.barabasi_albert_graph(n, m, seed=seed), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 150),
+    p=st.floats(0, 1, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=60, p=1.0, seed=5)
+@example(n=2, p=1.0, seed=0)
+def test_gnp_matches_networkx(n, p, seed):
+    nx = pytest.importorskip("networkx")
+    assert synthetic_or_none("er", n, p, seed) == reference_or_none(nx.gnp_random_graph(n, p, seed=seed), n)

@@ -17,8 +17,11 @@ and the ppp addresses' encrypted vectors, seeds and tags; then rp
 addresses at a width that is not a multiple of 8 bits. Last, DHT lookups
 per metric, on a network without failed nodes and on one with them,
 each with the routing tables they leave behind. Then, per strategy, the
-whole tree state after 300 departures and rejoins. It uses only calls that
-have kept their signatures, so it runs on older revisions too.
+whole tree state after 300 departures and rejoins. Last of all, the
+adjacency of each synthetic graph model at three sizes, and `aggregate`'s
+CSV rows, whose ci95 carries the t-quantile, for 2 to 2000 runs. It uses
+only calls that have kept their signatures, so it runs on older revisions
+too.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from f2froute.addresses import (
 )
 from f2froute.adversary import AdversaryConfig, apply_att_rand, attach_attacker, choose_roots, inject_failures
 from f2froute.embedding import EmbeddingConfig, assign_coordinates
+from f2froute.graph import generate_synthetic
 from f2froute.routing import EMBEDDING_CHOICE, RoutingConfig, route_multi
 from f2froute.trees import STRATEGIES, TreeConfig
 
@@ -162,6 +166,19 @@ def churn_digests() -> None:
         print(f"churn.{name}", digest((log, tree_state(ts), ts.clock)))
 
 
+def generator_digests() -> None:
+    """Adjacency per synthetic model and size, G(n, p) at p = 1 included,
+    then aggregate's rows as written to the CSV (ci95 at %.9g)."""
+    sizes = [("pa", 50, 2), ("pa", 1000, 3), ("pa", 5000, 5), ("er", 200, 0.02), ("er", 300, 0.5), ("er", 50, 1)]
+    for model, n, param in sizes:
+        print(f"graph.{model}.{n}.{param}", digest(generate_synthetic(model, n, param, 31).adjacency))
+    rng = random.Random(32)
+    for runs in (2, 3, 20, 2000):
+        per_run = [{"a": rng.random(), "b": rng.gauss(100, 30), "c": rng.expovariate(3)} for _ in range(runs)]
+        rows = experiments.aggregate("ci", per_run, ("a", "b", "c"))
+        print(f"aggregate.ci95.n{runs}", digest([row.csv_row() for row in rows]))
+
+
 def main() -> None:
     g = experiments.resolve_graph("pa:400:3", 7)
     roots = choose_roots(g, 5, 7)
@@ -200,6 +217,7 @@ def main() -> None:
     routing_digests()
     dht_digests()
     churn_digests()
+    generator_digests()
 
 
 if __name__ == "__main__":
