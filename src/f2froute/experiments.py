@@ -77,14 +77,19 @@ class MetricRow:
         return f"{self.scenario},{self.metric},{self.mean:.9g},{self.ci95:.9g},{self.runs}"
 
 
+SYNTHETIC_SPECS = {"pa:": ("preferential-attachment", "pa:N:M"), "er:": ("erdos-renyi", "er:N:P")}
+
+
 def resolve_graph(spec: str, seed: int) -> Graph:
-    if spec.startswith("pa:"):
-        _, n, m = spec.split(":")
-        return generate_synthetic("preferential-attachment", int(n), float(m), seed)
-    if spec.startswith("er:"):
-        _, n, p = spec.split(":")
-        return generate_synthetic("erdos-renyi", int(n), float(p), seed)
-    return giant_component(load_edge_list(spec))
+    if spec[:3] not in SYNTHETIC_SPECS:
+        return giant_component(load_edge_list(spec))
+    model, form = SYNTHETIC_SPECS[spec[:3]]
+    try:
+        n, param = spec[3:].split(":")
+        n, param = int(n), float(param)
+    except ValueError:
+        raise ValueError(f"malformed graph spec {spec!r}; expected {form}") from None
+    return generate_synthetic(model, n, param, seed)
 
 
 def sample_pairs(g: Graph, live, count: int, rng: random.Random, exclude=()):

@@ -24,22 +24,18 @@ ID_BITS = 160
 class DhtConfig:
     bucket_size: int = 8
     alpha: int = 1
-    replication: int = 1
 
     def __post_init__(self):
         if self.bucket_size < 1:
             raise ValueError(f"bucket_size must be >= 1, got {self.bucket_size}")
         if self.alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.replication < 1:
-            raise ValueError(f"replication must be >= 1, got {self.replication}")
 
 
 @dataclass
 class BucketEntry:
     kad_id: int
     node: int
-    addresses: tuple | None = None  # gamma return addresses, when distributed
 
 
 @dataclass
@@ -92,9 +88,7 @@ def assign_ids(n: int, seed: int) -> list[int]:
     return ids
 
 
-def build_overlay(
-    g: Graph, cfg: DhtConfig, seed: int, addresses: list[tuple] | None = None
-) -> list[DhtNode]:
+def build_overlay(g: Graph, cfg: DhtConfig, seed: int) -> list[DhtNode]:
     """Assign random ids and fill every k-bucket.
 
     Filling walks the implicit binary trie over the ids: at depth d the
@@ -109,7 +103,7 @@ def build_overlay(
     nodes = [DhtNode(ids[v]) for v in range(n)]
     # one entry per node, shared by every bucket that holds it: its fields
     # are per-node values, so no table needs a copy of its own
-    entries = [BucketEntry(ids[w], w, addresses[w] if addresses is not None else None) for w in range(n)]
+    entries = [BucketEntry(ids[w], w) for w in range(n)]
 
     def fill(members: list[int], depth: int) -> None:
         if len(members) <= 1 or depth >= ID_BITS:
@@ -214,36 +208,3 @@ def dht_lookup(
         best = origin
     return LookupOutcome(True, best, overlay_hops, underlay, path)
 
-
-def store_targets(key: int, nodes: list[DhtNode], cfg: DhtConfig, live=None) -> list[int]:
-    """The replication closest live ids, where a value for key resides."""
-    cands = [
-        v for v in range(len(nodes)) if live is None or live[v]
-    ]
-    cands.sort(key=lambda v: xor_distance(nodes[v].kad_id, key))
-    return cands[: cfg.replication]
-
-
-def overlay_stabilize(
-    nodes: list[DhtNode],
-    live,
-    addresses: list[tuple] | None = None,
-) -> int:
-    """One maintenance round: contact every table entry, evict the dead,
-    refresh stored return addresses of the live. Returns evictions."""
-    evicted = 0
-    for node in nodes:
-        for j, bucket in list(node.buckets.items()):
-            kept = []
-            for e in bucket:
-                if live is not None and not live[e.node]:
-                    evicted += 1
-                    continue
-                if addresses is not None:
-                    e.addresses = addresses[e.node]
-                kept.append(e)
-            if kept:
-                node.buckets[j] = kept
-            else:
-                del node.buckets[j]
-    return evicted

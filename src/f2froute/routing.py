@@ -59,7 +59,6 @@ from f2froute.embedding import MATCH_WEIGHT, Coordinate, Embedding, EmbeddingCon
 from f2froute.graph import Graph
 
 METRICS = ("TD", "CPL")
-ADDRESSING = ("coordinate", "rp-address", "ppp-address")
 EMBEDDING_CHOICE = ("random-tau", "min-neighbor-distance")
 
 NO_PROGRESS = "no-progress"
@@ -73,7 +72,6 @@ ORACLE_NODE_LIMIT = 1000
 class RoutingConfig:
     tau: int = 1
     metric: str = "TD"
-    addressing: str = "coordinate"
     backtracking: bool = True
     embedding_choice: str = "random-tau"
     max_hops: int | None = None  # None: 4 * (n + m), scales with explorable edges
@@ -83,8 +81,6 @@ class RoutingConfig:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.addressing not in ADDRESSING:
-            raise ValueError(f"addressing must be one of {ADDRESSING}, got {self.addressing!r}")
         if self.embedding_choice not in EMBEDDING_CHOICE:
             raise ValueError(
                 f"embedding_choice must be one of {EMBEDDING_CHOICE}, got {self.embedding_choice!r}"
@@ -247,22 +243,11 @@ def route(
 
 
 def select_trees(
-    g: Graph,
-    emb: Embedding,
-    src: int,
-    dest: int,
-    cfg: RoutingConfig,
-    live,
-    rng: random.Random,
-    addresses=None,
-    keys=None,
-) -> list[int]:
-    """Pick the tau embeddings a source sends over."""
-    return _select_trees(g, emb, src, dest, cfg, live, rng, addresses, keys)[0]
-
-
-def _select_trees(g, emb, src, dest, cfg, live, rng, addresses, keys) -> tuple[list[int], dict]:
-    """select_trees, plus the key it built for each tree it scored."""
+    g: Graph, emb: Embedding, src: int, dest: int, cfg: RoutingConfig, live, rng: random.Random,
+    addresses=None, keys=None,
+) -> tuple[list[int], dict]:
+    """Pick the tau embeddings a source sends over; returns them with the
+    key built for each tree scored, which `route` reuses as its _keyed."""
     gamma = emb.gamma
     if cfg.tau > gamma:
         raise ValueError(f"tau={cfg.tau} exceeds the {gamma} available embeddings")
@@ -306,7 +291,7 @@ def route_multi(
     """
     if rng is None:
         rng = random.Random(0)
-    trees, keyed = _select_trees(g, emb, src, dest, cfg, live, rng, addresses, keys)
+    trees, keyed = select_trees(g, emb, src, dest, cfg, live, rng, addresses, keys)
     attempts = []
     total = 0
     best = None

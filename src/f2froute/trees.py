@@ -262,7 +262,7 @@ class TreeBuilder:
                     self.pending.setdefault(v, {}).setdefault(tree, []).append((u, lvl))
         self._outbox = []
         for v in list(self.pending):
-            choice = self._decide(v)
+            choice = choose_invitation(ts.pc[v], g.degree(v), self.pending[v], self.rng, self.cfg)
             if choice is None:
                 continue
             tree, w, wlvl = choice
@@ -272,11 +272,6 @@ class TreeBuilder:
             if not self.pending[v]:
                 del self.pending[v]
             self._outbox.append((tree, v, wlvl + 1))
-
-    def _decide(self, v: int) -> tuple[int, int, int] | None:
-        return choose_invitation(
-            self.ts.pc[v], self.g.degree(v), self.pending[v], self.rng, self.cfg
-        )
 
     def run(self) -> TreeSet:
         while not self.finished:

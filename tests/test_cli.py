@@ -84,8 +84,14 @@ def test_fractional_attachment_degree_exits_with_one_error_line(tmp_path, capsys
 
 
 def test_bad_graph_spec_exit_code(tmp_path, capsys):
-    code = run_cli(["--graph", "/no/such/file", "--out", str(tmp_path / "x.csv")])
-    assert code == 1
+    cases = [("/no/such/file", None), ("pa:10", "pa:N:M"), ("pa:10:3:4", "pa:N:M"), ("er:x:0.1", "er:N:P")]
+    for spec, form in cases:
+        code = run_cli(["--graph", spec, "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and repr(spec) in err[0], err
+        if form is not None:
+            assert err == [f"error: malformed graph spec {spec!r}; expected {form}"]
 
 
 def test_edge_list_with_two_components_uses_the_giant_one(tmp_path, capsys):

@@ -49,8 +49,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RoutingConfig(metric="XOR")
     with pytest.raises(ValueError):
-        RoutingConfig(addressing="steganographic")
-    with pytest.raises(ValueError):
         RoutingConfig(embedding_choice="all")
     with pytest.raises(ValueError):
         RoutingConfig(max_hops=0)
@@ -284,7 +282,7 @@ def test_select_trees_min_neighbor_distance():
     # from node 1 toward 3: tree 0's best neighbor (node 2) has TD key
     # -1 (distance 1 less the destination's depth 2), tree 1's best
     # (node 0) key 1 (distance 2 less depth 1), so tree 0 wins
-    picked = select_trees(g, emb, 1, 3, cfg, None, random.Random(0))
+    picked = select_trees(g, emb, 1, 3, cfg, None, random.Random(0))[0]
     assert picked == [0]
     out = route_multi(g, emb, 1, 3, cfg, drop_nodes={2}, rng=random.Random(0))
     assert out.trees == picked

@@ -112,11 +112,10 @@ def test_non_preferred_acceptance_rate_matches_q():
     q = 0.3
     accepted = 0
     trials = 4000
+    cfg = TreeConfig(gamma=2, accept_prob=q)
     for t in range(trials):
-        builder = TreeBuilder(g, TreeConfig(gamma=2, accept_prob=q, rng_seed=t), [0, 0])
-        builder.ts.attach(0, 1, 0, 1)
-        builder.pending[1] = {1: [(0, 0)]}
-        if builder._decide(1) is not None:
+        # node 1 has degree 2; node 0 parents it in tree 0 and invites it to tree 1
+        if choose_invitation({0: 1}, g.degree(1), {1: [(0, 0)]}, random.Random(t), cfg) is not None:
             accepted += 1
     rate = accepted / trials
     sigma = (q * (1 - q) / trials) ** 0.5

@@ -14,14 +14,14 @@ with failures, then again without backtracking and under a small hop
 cap. Then come the return addresses that instance issues: per tree, the
 rp addresses' digest vectors, routing seeds, MAC tags and byte records,
 and the ppp addresses' encrypted vectors, seeds and tags; then rp
-addresses at a width that is not a multiple of 8 bits. Last, DHT lookups
+addresses at a width that is not a multiple of 8 bits. Next, DHT lookups
 per metric, on a network without failed nodes and on one with them,
-each with the routing tables they leave behind. Then, per strategy, the
-whole tree state after 300 departures and rejoins. Last of all, the
-adjacency of each synthetic graph model at three sizes, and `aggregate`'s
-CSV rows, whose ci95 carries the t-quantile, for 2 to 2000 runs. It uses
-only calls that have kept their signatures, so it runs on older revisions
-too.
+each with the routing tables they leave behind, as the (id, node) pairs
+of every bucket. Then, per strategy, the whole tree state after 300
+departures and rejoins. Last of all, the adjacency of each synthetic
+graph model at three sizes, and `aggregate`'s CSV rows, whose ci95
+carries the t-quantile, for 2 to 2000 runs. It uses only calls that have
+kept their signatures, so it runs on older revisions too.
 """
 
 from __future__ import annotations
@@ -150,7 +150,8 @@ def dht_digests() -> None:
             rcfg = RoutingConfig(tau=2, metric=metric)
             rng = random.Random(20)
             outs = [overlay.dht_lookup(key, o, nodes, g, emb, dht, rcfg, live=live, rng=rng) for key, o in lookups]
-            print(f"dht.{metric}.{failures}", digest((outs, [nd.buckets for nd in nodes])))
+            tables = [{j: [(e.kad_id, e.node) for e in b] for j, b in nd.buckets.items()} for nd in nodes]
+            print(f"dht.{metric}.{failures}", digest((outs, tables)))
 
 
 def churn_digests() -> None:
