@@ -68,13 +68,6 @@ def xor_distance(a: int, b: int) -> int:
     return a ^ b
 
 
-def id_cpl(a: int, b: int) -> int:
-    """Number of shared leading bits of two identifiers."""
-    if a == b:
-        return ID_BITS
-    return ID_BITS - (a ^ b).bit_length()
-
-
 def assign_ids(n: int, seed: int) -> list[int]:
     rng = random.Random(seed)
     ids: list[int] = []

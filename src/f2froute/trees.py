@@ -6,8 +6,9 @@ un-joined nodes accept invitations preferring neighbors that parent them
 in the fewest trees (parent diversity). Acceptance of a non-preferred
 invitation happens with probability q per round, guaranteeing
 termination; DIV-DEP further keeps the lowest-level inviters. That rule
-is `choose_invitation`, applied both by `TreeBuilder` during construction
-and by `handle_join` when it replays the protocol for a joining node. A
+is `choose_invitation`, applied by `TreeBuilder` during construction, by
+`handle_join` when it replays the protocol for a joining node, and by
+`handle_departure` when a departed node's subtrees pick new parents. A
 plain per-tree BFS is available as a baseline strategy.
 """
 
@@ -224,13 +225,6 @@ class TreeBuilder:
     """In-progress synchronous construction; step() runs one round."""
 
     def __init__(self, g: Graph, cfg: TreeConfig, roots: list[int]):
-        if len(roots) != cfg.gamma:
-            raise ConstructionError(f"need {cfg.gamma} roots, got {len(roots)}")
-        comps = connected_components(g)
-        if len(comps) != 1:
-            raise ConstructionError(
-                f"input graph has {len(comps)} components; pass the giant component"
-            )
         self.g = g
         self.cfg = cfg
         self.rng = random.Random(cfg.rng_seed)
@@ -286,9 +280,6 @@ class TreeBuilder:
 
 def _construct_bfs(g: Graph, cfg: TreeConfig, roots: list[int]) -> TreeSet:
     """Independent per-tree breadth-first construction with random child order."""
-    comps = connected_components(g)
-    if len(comps) != 1:
-        raise ConstructionError(f"input graph has {len(comps)} components; pass the giant component")
     rng = random.Random(cfg.rng_seed)
     ts = TreeSet(g.node_count, roots, cfg)
     for i, r in enumerate(roots):
@@ -306,6 +297,11 @@ def _construct_bfs(g: Graph, cfg: TreeConfig, roots: list[int]) -> TreeSet:
 
 def construct_trees(g: Graph, cfg: TreeConfig, roots: list[int]) -> TreeSet:
     """Build gamma spanning trees of a connected graph."""
+    if len(roots) != cfg.gamma:
+        raise ConstructionError(f"need {cfg.gamma} roots, got {len(roots)}")
+    comps = connected_components(g)
+    if len(comps) != 1:
+        raise ConstructionError(f"input graph has {len(comps)} components; pass the giant component")
     if cfg.strategy == "BFS":
         return _construct_bfs(g, cfg, roots)
     return TreeBuilder(g, cfg, roots).run()
@@ -372,9 +368,15 @@ def handle_departure(
 ) -> tuple[TreeSet, int]:
     """Remove a non-root node from all trees; reattach its subtrees.
 
-    Children of the departed node pick a new parent among neighbors still
-    in the tree, preferring minimal parent count; whole subtrees move with
-    them. Returns the number of coordinate reassignments, i.e. the total
+    In each tree the departed node's children root detached subtrees, and
+    while the repair runs a node is a member iff it has a level (>= 0).
+    The subtree roots rejoin in waves: each root with member neighbors
+    picks its parent by `choose_invitation`, with the trees' own q and
+    strategy, and its whole subtree moves with it; a root that declines
+    under q retries in the next wave. When no root has a member neighbor,
+    the first subtree with a descendant that has one is re-rooted there;
+    when none has, the rest cannot reach the tree and is dropped from it.
+    Returns the number of coordinate reassignments, i.e. the total
     descendant count of the departed node across trees.
     """
     root_trees = [i for i in range(ts.gamma) if ts.roots[i] == node]
@@ -386,106 +388,61 @@ def handle_departure(
     for i in range(ts.gamma):
         if not ts.in_tree(i, node):
             continue
-        detached = set()
-        subtree_roots = list(ts.children[i][node])
-        for c in subtree_roots:
-            detached.add(c)
-            detached.update(ts.descendants(i, c))
-            ts.parent[i][c] = ABSENT
+        parent, level, children = ts.parent[i], ts.level[i], ts.children[i]
+        subtrees = children[node]
+        for c in subtrees:
+            for d in [c] + ts.descendants(i, c):
+                level[d] = -1
+                reassigned += 1
+            parent[c] = ABSENT
             ts.release_parent(c, node)
-        reassigned += len(detached)
-        old_parent = ts.parent[i][node]
+        old_parent = parent[node]
         if old_parent >= 0:
-            ts.children[i][old_parent].remove(node)
+            children[old_parent].remove(node)
             ts.release_parent(node, old_parent)
-        ts.parent[i][node] = ABSENT
-        ts.level[i][node] = -1
-        ts.children[i][node] = []
-        rng.shuffle(subtree_roots)
-        _reattach(ts, g, i, subtree_roots, detached, rng)
-    return ts, reassigned
-
-
-def _reattach(ts, g, tree, subtree_roots, detached, rng):
-    """Attach detached subtrees back into the tree, re-rooting if needed."""
-    while subtree_roots:
-        progress = False
-        for c in list(subtree_roots):
-            cands = [
-                v
-                for v in g.neighbors(c)
-                if ts.in_tree(tree, v) and v not in detached
-            ]
-            if not cands:
+        parent[node] = ABSENT
+        level[node] = -1
+        children[node] = []
+        rng.shuffle(subtrees)
+        while subtrees:
+            waiting, invited = [], False
+            for c in subtrees:
+                invs = [(v, level[v]) for v in g.neighbors(c) if level[v] >= 0]
+                invited = invited or bool(invs)
+                choice = invs and choose_invitation(ts.pc[c], g.degree(c), {i: invs}, rng, ts.cfg)
+                if not choice:  # no member neighbor, or declined under q
+                    waiting.append(c)
+                    continue
+                ts.attach(i, c, choice[1], ts.clock + ts.max_join_round[i])
+                for d in ts.descendants(i, c):  # each after its parent
+                    level[d] = level[parent[d]] + 1
+            subtrees = waiting
+            if invited:
                 continue
-            best = min(ts.pc[c].get(v, 0) for v in cands)
-            pick = rng.choice([v for v in cands if ts.pc[c].get(v, 0) == best])
-            ts.attach(tree, c, pick, ts.clock + ts.max_join_round[tree])
-            for d in _relevel(ts, tree, c):
-                detached.discard(d)
-            detached.discard(c)
-            subtree_roots.remove(c)
-            progress = True
-        if progress:
-            continue
-        # no subtree root can attach directly; re-root one at an interior
-        # node that has an attached neighbor
-        rerooted = False
-        for c in list(subtree_roots):
-            for d in [c] + ts.descendants(tree, c):
-                if any(
-                    ts.in_tree(tree, v) and v not in detached
-                    for v in g.neighbors(d)
-                ):
-                    if d != c:
-                        _reroot_subtree(ts, tree, c, d)
-                        subtree_roots.remove(c)
-                        subtree_roots.append(d)
-                    rerooted = True
-                    break
-            if rerooted:
+            found = next(((c, d) for c in subtrees for d in ts.descendants(i, c)
+                          if any(level[v] >= 0 for v in g.neighbors(d))), None)
+            if found is None:
+                for c in subtrees:
+                    for d in [c] + ts.descendants(i, c):
+                        if parent[d] >= 0:
+                            ts.release_parent(d, parent[d])
+                        parent[d] = ABSENT
+                        children[d] = []
                 break
-        if not rerooted:
-            # disconnected remainder: drop the stranded nodes from the tree
-            for c in subtree_roots:
-                for d in [c] + ts.descendants(tree, c):
-                    p = ts.parent[tree][d]
-                    if p >= 0:
-                        ts.release_parent(d, p)
-                    ts.parent[tree][d] = ABSENT
-                    ts.level[tree][d] = -1
-                    ts.children[tree][d] = []
-            return
-
-
-def _relevel(ts, tree, root):
-    """Recompute levels below root after reattachment; yields the subtree."""
-    out = []
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in ts.children[tree][u]:
-            ts.level[tree][v] = ts.level[tree][u] + 1
-            out.append(v)
-            queue.append(v)
-    return out
-
-
-def _reroot_subtree(ts, tree, old_root, new_root):
-    """Reverse parent pointers along the path new_root -> old_root."""
-    path = [new_root]
-    u = new_root
-    while u != old_root:
-        u = ts.parent[tree][u]
-        path.append(u)
-    for child, parent in zip(path[1:], path):
-        # child was parent's parent; flip the edge
-        ts.children[tree][child].remove(parent)
-        ts.children[tree][parent].append(child)
-        ts.parent[tree][child] = parent
-        ts.release_parent(parent, child)
-        ts.pc[child][parent] = ts.pc[child].get(parent, 0) + 1
-    ts.parent[tree][new_root] = ABSENT
+            c, d = found
+            path = [d]
+            while path[-1] != c:
+                path.append(parent[path[-1]])
+            for u, p in zip(path, path[1:]):  # u was p's child; flip the edge
+                children[p].remove(u)
+                children[u].append(p)
+                ts.release_parent(u, p)
+                parent[p] = u
+                ts.pc[p][u] = ts.pc[p].get(u, 0) + 1
+            parent[d] = ABSENT
+            subtrees.remove(c)
+            subtrees.append(d)
+    return ts, reassigned
 
 
 def descendants_count(ts: TreeSet, node: int, tree: int) -> int:

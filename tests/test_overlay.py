@@ -7,18 +7,22 @@ from f2froute import overlay as overlay_mod
 from f2froute.embedding import EmbeddingConfig, assign_coordinates
 from f2froute.graph import Graph, generate_synthetic
 from f2froute.overlay import (
+    ID_BITS,
     DhtConfig,
-    LookupOutcome,
     assign_ids,
     build_overlay,
     dht_lookup,
-    id_cpl,
     xor_distance,
 )
 from f2froute.routing import RoutingConfig
 from f2froute.trees import TreeConfig, construct_trees
 
 CFG = EmbeddingConfig(bits_per_element=16, max_length=32, cpl_constant=32)
+
+
+def id_cpl(a, b):
+    """Number of shared leading bits of two identifiers."""
+    return ID_BITS - (a ^ b).bit_length()
 
 
 def build(n=120, gamma=2, seed=1):

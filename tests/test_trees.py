@@ -15,8 +15,6 @@ from f2froute.trees import (
     TreeBuilder,
     TreeConfig,
     TreeSet,
-    _relevel,
-    _reroot_subtree,
     choose_invitation,
     construct_trees,
     descendants_count,
@@ -80,10 +78,11 @@ def test_construct_rejects_disconnected():
         construct_trees(g, TreeConfig(strategy="BFS"), [0])
 
 
-def test_construct_root_count_mismatch():
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_construct_root_count_mismatch(strategy):
     g = path_graph(4)
     with pytest.raises(ConstructionError):
-        construct_trees(g, TreeConfig(gamma=2), [0])
+        construct_trees(g, TreeConfig(gamma=2, strategy=strategy), [0])
 
 
 def test_bfs_levels_match_hop_distance():
@@ -244,6 +243,34 @@ def test_departure_reattaches_when_alternative_exists():
     assert all(ts.parent[0][v] != ABSENT for v in still)
 
 
+def test_departure_on_div_dep_trees_prefers_lower_level():
+    # node 3 departs; its child 4 may take parent 0 (level 0) or 2 (level
+    # 2), both unused by 4, and DIV-DEP takes the level-0 one every time
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 0), (4, 2)])
+    for seed in range(20):
+        ts = TreeSet(5, [0], TreeConfig(strategy="DIV-DEP"))
+        for v, p in ((1, 0), (2, 1), (3, 0), (4, 3)):
+            ts.attach(0, v, p, ts.level[0][p] + 1)
+        _, reassigned = handle_departure(ts, g, 3, seed=seed)
+        assert reassigned == 1
+        assert ts.parent[0][4] == 0 and ts.level[0][4] == 1
+        assert_consistent(ts, g)
+
+
+def test_departure_reroots_a_subtree_whose_root_cannot_attach():
+    # the chain 0-1-2-3 loses 1: node 2 has no member neighbor left, so
+    # its subtree is re-rooted at 3, which attaches through the edge 3-0
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    ts = TreeSet(4, [0])
+    for v in (1, 2, 3):
+        ts.attach(0, v, v - 1, v)
+    _, reassigned = handle_departure(ts, g, 1, seed=0)
+    assert reassigned == 2
+    assert ts.parent[0] == [ROOT, ABSENT, 3, 0]
+    assert ts.level[0] == [0, -1, 2, 1]
+    assert_consistent(ts, g)
+
+
 def test_departure_of_root_raises():
     g = path_graph(4)
     ts = construct_trees(g, TreeConfig(gamma=2, rng_seed=0), [1, 2])
@@ -325,9 +352,9 @@ def test_depart_join_sequences_keep_invariants(strategy, m, gamma, seed, moves):
         assert_consistent(ts, g)
 
 
-# Reference join and departure for the differential test below: the
-# replay steps through every round, empty ones included, and each attach
-# stamp scans the whole tree for its latest join round.
+# Reference join for the differential test below: the replay steps
+# through every round, empty ones included, and each attach stamp scans
+# the whole tree for its latest join round.
 
 
 def reference_handle_join(ts, g, new_node, seed=0):
@@ -373,77 +400,6 @@ def reference_handle_join(ts, g, new_node, seed=0):
     return ts
 
 
-def reference_handle_departure(ts, g, node, seed=0):
-    root_trees = [i for i in range(ts.gamma) if ts.roots[i] == node]
-    if root_trees:
-        raise RootDepartureError(node, root_trees)
-    rng = random.Random(seed)
-    ts.clock += 1
-    reassigned = 0
-    for i in range(ts.gamma):
-        if not ts.in_tree(i, node):
-            continue
-        detached = set()
-        subtree_roots = list(ts.children[i][node])
-        for c in subtree_roots:
-            detached.add(c)
-            detached.update(ts.descendants(i, c))
-            ts.parent[i][c] = ABSENT
-            ts.release_parent(c, node)
-        reassigned += len(detached)
-        old_parent = ts.parent[i][node]
-        if old_parent >= 0:
-            ts.children[i][old_parent].remove(node)
-            ts.release_parent(node, old_parent)
-        ts.parent[i][node] = ABSENT
-        ts.level[i][node] = -1
-        ts.children[i][node] = []
-        rng.shuffle(subtree_roots)
-        _reference_reattach(ts, g, i, subtree_roots, detached, rng)
-    return ts, reassigned
-
-
-def _reference_reattach(ts, g, tree, subtree_roots, detached, rng):
-    while subtree_roots:
-        progress = False
-        for c in list(subtree_roots):
-            cands = [v for v in g.neighbors(c) if ts.in_tree(tree, v) and v not in detached]
-            if not cands:
-                continue
-            best = min(ts.pc[c].get(v, 0) for v in cands)
-            pick = rng.choice([v for v in cands if ts.pc[c].get(v, 0) == best])
-            ts.attach(tree, c, pick, ts.clock + max(ts.join_round[tree]))
-            for d in _relevel(ts, tree, c):
-                detached.discard(d)
-            detached.discard(c)
-            subtree_roots.remove(c)
-            progress = True
-        if progress:
-            continue
-        rerooted = False
-        for c in list(subtree_roots):
-            for d in [c] + ts.descendants(tree, c):
-                if any(ts.in_tree(tree, v) and v not in detached for v in g.neighbors(d)):
-                    if d != c:
-                        _reroot_subtree(ts, tree, c, d)
-                        subtree_roots.remove(c)
-                        subtree_roots.append(d)
-                    rerooted = True
-                    break
-            if rerooted:
-                break
-        if not rerooted:
-            for c in subtree_roots:
-                for d in [c] + ts.descendants(tree, c):
-                    p = ts.parent[tree][d]
-                    if p >= 0:
-                        ts.release_parent(d, p)
-                    ts.parent[tree][d] = ABSENT
-                    ts.level[tree][d] = -1
-                    ts.children[tree][d] = []
-            return
-
-
 def outcome(call, *args, **kwargs):
     """What the call returned besides the TreeSet, or what it raised."""
     try:
@@ -466,7 +422,10 @@ def full_state(ts):
 )
 def test_churn_matches_reference(config, m, seed, moves):
     # m = 1 gives a tree graph: departures strand nodes, and some rejoins
-    # raise JoinError; the jump over idle rounds must draw the same numbers
+    # raise JoinError; the jump over idle rounds must draw the same numbers.
+    # Both copies depart through handle_departure, so that each join starts
+    # from the same trees; validate checks the running max_join_round the
+    # stamps read after every event.
     strategy, q = config
     g = generate_synthetic("pa", 30, m, seed=seed)
     gamma = 3
@@ -475,7 +434,7 @@ def test_churn_matches_reference(config, m, seed, moves):
     ref = ts.copy()
     for k, move in enumerate(moves):
         v = gamma + move % (g.node_count - gamma)
-        for new, old in ((handle_departure, reference_handle_departure), (handle_join, reference_handle_join)):
+        for new, old in ((handle_departure, handle_departure), (handle_join, reference_handle_join)):
             assert outcome(new, ts, g, v, seed=seed + k) == outcome(old, ref, g, v, seed=seed + k)
             assert full_state(ts) == full_state(ref)
             ts.validate(g)
