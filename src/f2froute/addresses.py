@@ -61,11 +61,6 @@ def _shake(tag: bytes, *values: int, bits: int) -> int:
     return _digest(tag + b"".join(map(_word, values)), bits)
 
 
-def hash_value(value: int, bits: int) -> int:
-    """The pinned b-bit hash H used throughout the cascade."""
-    return _digest(b"hc" + _word(value), bits)
-
-
 def prng_value(key: int, counter: int, bits: int) -> int:
     """Keyed pseudo-random generator evaluated at a counter position."""
     return _digest(b"prng" + _word(key) + _word(counter), bits)

@@ -97,15 +97,6 @@ class Embedding:
     def coord(self, tree: int, node: int) -> Coordinate | None:
         return self.coords[tree][node]
 
-    def dump(self) -> str:
-        """Diagnostic rows 'tree node coordinate'."""
-        lines = []
-        for i, tree in enumerate(self.coords):
-            for v, c in enumerate(tree):
-                if c is not None:
-                    lines.append(f"{i} {v} {','.join(map(str, c))}")
-        return "\n".join(lines) + "\n"
-
 
 def assign_coordinates(
     ts: TreeSet,

@@ -26,18 +26,31 @@ closed under prefixes, so it is exact for the prefixes an att-rand
 attacker fabricates for its children, which match no real ancestor.
 
 The simulation keys each node once per route. On a node's first visit
-`route` computes its own key and the keys of its live neighbours that
-have a coordinate in the tree, as that node sees them, and keeps the
-`(key, v)` list stably sorted by key. A forward pops the chosen entry,
-so the list holds exactly the options the node has not tried yet, and
-backtracking into the node reads it instead of keying the neighbours
-again. The front tie group keeps neighbour order, so `rng` draws the
-same next hops as a search that keys every neighbour on every visit.
-Each list belongs to its evaluator, which keeps it exact for encrypted
-addresses, whose match depends on the node that decrypts. The digests of
-an address's cascade inputs are memoised per route for every evaluator:
-siblings share coordinate prefixes, and the hash of an input does not
-depend on who asks.
+`route` computes its own key and keeps, stably sorted by key, the
+`(key, v)` list of its improving options: the live neighbours that have
+a coordinate in the tree and a key below the node's own, as that node
+sees them. A forward pops the chosen entry, so the list holds exactly
+the options the node has not tried yet, and backtracking into the node
+reads it instead of keying the neighbours again. A forward only ever
+takes a key below the node's own, so leaving out the other neighbours
+changes no hop; the front tie group keeps neighbour order, so `rng`
+draws the same next hops as a search that keys every neighbour on every
+visit. Each list belongs to its evaluator, which keeps it exact for
+encrypted addresses, whose match depends on the node that decrypts. The
+digests of an address's cascade inputs are memoised per route for every
+evaluator: siblings share coordinate prefixes, and the hash of an input
+does not depend on who asks.
+
+Coordinates key only the neighbours that can improve on u. With m(u)
+the matched prefix of u, a neighbour v with m(v) > m(u) is ranked inside
+the run of the target's prefix of length m(u) + 1, which holds for any
+set of tuples by the nesting above. Any other improving v is shallower
+than u: under TD, len(v) - 2m(v) < len(u) - 2m(u) with m(v) <= m(u)
+forces len(v) < len(u); under CPL the weight exceeds any length, so
+m(v) < m(u) never improves and m(v) = m(u) improves only when
+len(v) < len(u). A rank and a length comparison thus pass over most of
+a hub's neighbours without a bisection. Addresses hide the ranks, so
+they key every neighbour and then drop the ones that do not improve.
 """
 
 from __future__ import annotations
@@ -110,14 +123,19 @@ class MultiRouteOutcome:
 
 
 def _key_fn(emb, tree, dest, metric, address, keys):
-    """keyed(u, nodes, live): (key, v) for each v in nodes that is live
-    and has a coordinate in the tree, in order, keyed as u sees it.
+    """(keyed, improving) toward dest in one tree.
+
+    keyed(u, nodes, live): (key, v) for each v in nodes that is live and
+    has a coordinate in the tree, in order, keyed as u sees it.
+    improving(u, nodes, live): the (key, v) pairs among those whose key
+    is below u's own, sorted stably by key.
 
     A key is len(c) - w * m for candidate coordinate c with matched
     prefix m; smaller means closer to the target. Coordinates read m from
-    the candidate's rank, addresses from the hash cascade, whose digests
-    are shared by every evaluation through this key, so each distinct
-    input is hashed once.
+    the candidate's rank and key only the candidates that can improve on
+    u; addresses key every candidate through the hash cascade, whose
+    digests are shared by every evaluation through this key, so each
+    distinct input is hashed once.
     """
     if address is None:
         dest_coord = emb.coord(tree, dest)
@@ -126,15 +144,30 @@ def _key_fn(emb, tree, dest, metric, address, keys):
         ranks = emb.ranks[tree]
         rank, length = ranks.rank, ranks.length
         bounds, wm = ranks.match_table(dest_coord, MATCH_WEIGHT[metric])
+        n = len(dest_coord)
 
         def keyed(u, nodes, live):
-            if live is None:
-                return [(length[v] - wm[bisect_right(bounds, r)], v) for v in nodes if (r := rank[v]) >= 0]
             return [
-                (length[v] - wm[bisect_right(bounds, r)], v) for v in nodes if live[v] and (r := rank[v]) >= 0
+                (length[v] - wm[bisect_right(bounds, r)], v)
+                for v in nodes if (live is None or live[v]) and (r := rank[v]) >= 0
             ]
 
-        return keyed
+        def improving(u, nodes, live):
+            i = bisect_right(bounds, rank[u])
+            lu = length[u]
+            own = lu - wm[i]
+            m = i if i <= n else 2 * n - i
+            # ranks in [lo, hi) match more than u; the rest must be shallower
+            lo, hi = (bounds[m], bounds[2 * n - 1 - m]) if m < n else (0, 0)
+            options = [
+                (k, v) for v in nodes
+                if (live is None or live[v]) and (r := rank[v]) >= 0 and (lo <= r < hi or length[v] < lu)
+                and (k := length[v] - wm[bisect_right(bounds, r)]) < own
+            ]
+            options.sort(key=itemgetter(0))
+            return options
+
+        return keyed, improving
     seed = address.routing_seed
     digests = CascadeDigests(emb.cfg.bits_per_element)
     if isinstance(address, ReturnAddress):
@@ -163,7 +196,13 @@ def _key_fn(emb, tree, dest, metric, address, keys):
                     out.append((key(u, c), v))
         return out
 
-    return keyed
+    def improving(u, nodes, live):
+        own = key(u, coords[u])
+        options = [o for o in keyed(u, nodes, live) if o[0] < own]
+        options.sort(key=itemgetter(0))
+        return options
+
+    return keyed, improving
 
 
 def route(
@@ -179,7 +218,7 @@ def route(
     keys: list[AddressKeys] | None = None,
     rng: random.Random | None = None,
     *,
-    _keyed=None,
+    _key=None,
 ) -> RouteOutcome:
     """Route one message from src toward dest's coordinate in one tree.
 
@@ -189,7 +228,7 @@ def route(
     next option, without backtracking the message is simply lost. When
     an address is given the comparison runs on the address while success
     is still recognition by the issuer. `route_multi` passes the key that
-    chose the tree as _keyed, so the two share their memos.
+    chose the tree as _key, so the two share their memos.
     """
     if rng is None:
         rng = random.Random(0)
@@ -197,20 +236,18 @@ def route(
         return RouteOutcome(True, 0, [src], route_length=0)
     if emb.coord(tree, src) is None:
         raise ValueError(f"source {src} has no coordinate in tree {tree}")
-    keyed = _keyed or _key_fn(emb, tree, dest, cfg.metric, address, keys)
+    improving = (_key or _key_fn(emb, tree, dest, cfg.metric, address, keys))[1]
     cap = cfg.max_hops if cfg.max_hops is not None else 4 * (g.node_count + g.edge_count)
-    ranked: dict[int, tuple] = {}  # u -> (u's own key, u's untried options by key)
+    ranked: dict[int, list] = {}  # u -> u's untried improving options by key
     chain = [src]
     hops = 0
     path = [src]
     while True:
         u = chain[-1]
-        if u not in ranked:
-            options = keyed(u, g.neighbors(u), live)
-            options.sort(key=itemgetter(0))
-            ranked[u] = (keyed(u, (u,), None)[0][0], options)
-        own, options = ranked[u]
-        if options and options[0][0] < own:
+        options = ranked.get(u)
+        if options is None:
+            options = ranked[u] = improving(u, g.neighbors(u), live)
+        if options:
             best_key = options[0][0]
             ties = 1
             while ties < len(options) and options[ties][0] == best_key:
@@ -247,7 +284,10 @@ def select_trees(
     addresses=None, keys=None,
 ) -> tuple[list[int], dict]:
     """Pick the tau embeddings a source sends over; returns them with the
-    key built for each tree scored, which `route` reuses as its _keyed."""
+    key built for each tree scored, which `route` reuses as its _key.
+
+    min-neighbor-distance scores a tree by its best key over all of the
+    source's neighbours, improving or not."""
     gamma = emb.gamma
     if cfg.tau > gamma:
         raise ValueError(f"tau={cfg.tau} exceeds the {gamma} available embeddings")
@@ -256,11 +296,11 @@ def select_trees(
     if cfg.embedding_choice == "random-tau":
         return sorted(rng.sample(range(gamma), cfg.tau)), {}
     scored = []
-    keyed = {}
+    key = {}
     for i in range(gamma):
         addr = addresses[i] if addresses is not None else None
-        keyed[i] = _key_fn(emb, i, dest, cfg.metric, addr, keys)
-        options = keyed[i](src, g.neighbors(src), live)
+        key[i] = _key_fn(emb, i, dest, cfg.metric, addr, keys)
+        options = key[i][0](src, g.neighbors(src), live)
         if options:
             scored.append((min(k for k, _ in options), i))
     scored.sort()
@@ -268,7 +308,7 @@ def select_trees(
     if len(picked) < cfg.tau:  # fewer scorable trees than tau: fill uniformly
         rest = [i for i in range(gamma) if i not in picked]
         picked += rng.sample(rest, cfg.tau - len(picked))
-    return sorted(picked), keyed
+    return sorted(picked), key
 
 
 def route_multi(
@@ -279,19 +319,22 @@ def route_multi(
     cfg: RoutingConfig,
     live=None,
     drop_nodes=frozenset(),
-    addresses: list | None = None,
+    addresses=None,
     keys: list[AddressKeys] | None = None,
     rng: random.Random | None = None,
 ) -> MultiRouteOutcome:
     """Run route over tau independently selected embeddings.
 
-    addresses, when given, holds one address per tree (index-aligned).
+    addresses, when given, is any object indexed by tree that yields that
+    tree's address, such as a list or a mapping that issues addresses on
+    lookup. Only the trees routed on are read, so random-tau reads tau of
+    them; min-neighbor-distance reads all gamma to score the trees.
     Success if any attempt succeeds; hops are summed over all attempts
     since every message costs its sender regardless of outcome.
     """
     if rng is None:
         rng = random.Random(0)
-    trees, keyed = select_trees(g, emb, src, dest, cfg, live, rng, addresses, keys)
+    trees, key = select_trees(g, emb, src, dest, cfg, live, rng, addresses, keys)
     attempts = []
     total = 0
     best = None
@@ -299,7 +342,7 @@ def route_multi(
         addr = addresses[i] if addresses is not None else None
         out = route(
             g, emb, src, dest, i, cfg,
-            live=live, drop_nodes=drop_nodes, address=addr, keys=keys, rng=rng, _keyed=keyed.get(i),
+            live=live, drop_nodes=drop_nodes, address=addr, keys=keys, rng=rng, _key=key.get(i),
         )
         attempts.append(out)
         total += out.hops

@@ -149,15 +149,6 @@ class TreeSet:
         dup.clock = self.clock
         return dup
 
-    def dump(self) -> str:
-        """Diagnostic text dump: one 'tree node parent level' line per member."""
-        lines = ["tree node parent level"]
-        for i in range(self.gamma):
-            for v in range(self.node_count):
-                if self.in_tree(i, v):
-                    lines.append(f"{i} {v} {self.parent[i][v]} {self.level[i][v]}")
-        return "\n".join(lines) + "\n"
-
     def validate(self, g: Graph) -> None:
         """Assert structural invariants; raises AssertionError on violation."""
         for i in range(self.gamma):

@@ -192,11 +192,3 @@ def test_fabricated_children_prefixes():
     # the rest of the tree is embedded honestly
     honest = assign_coordinates(ts, CFG, 9)
     assert honest.coord(0, 1) == own
-
-
-def test_dump_round_trips_line_count():
-    _, ts, emb = build(n=20, gamma=1)
-    lines = emb.dump().strip().splitlines()
-    assert len(lines) == ts.node_count
-    t, v, c = lines[0].split(" ")
-    assert t == "0" and v.isdigit()

@@ -332,6 +332,40 @@ def test_rp_addresses_preserve_routes_at_scenario_scale(attacked_pairs, metric, 
     assert dropped >= 1  # some attempts pass through the attacker
 
 
+class IssuedOnLookup(dict):
+    """Tree -> the destination's address there, issued on first lookup."""
+
+    def __init__(self, issue):
+        super().__init__()
+        self.issue = issue
+        self.issued = 0
+
+    def __missing__(self, tree):
+        self.issued += 1
+        addr = self[tree] = self.issue(tree)
+        return addr
+
+
+@pytest.mark.parametrize("choice", ["random-tau", "min-neighbor-distance"])
+def test_route_multi_reads_only_the_addresses_it_routes(choice):
+    g, ts, emb = build(n=60, gamma=5, seed=12)
+    n = g.node_count
+    keys = generate_address_keys(n, 1, CFG.bits_per_element)
+    cfg = RoutingConfig(tau=2, metric="CPL", embedding_choice=choice)
+    rng = random.Random(14)
+    for k in range(20):
+        s, d = rng.randrange(n), rng.randrange(n)
+
+        def issue(tree):
+            return address_for_node(emb, ts, d, tree, keys[d], 100 * k + tree, 200 * k + tree)
+
+        lazy = IssuedOnLookup(issue)
+        out = route_multi(g, emb, s, d, cfg, addresses=lazy, rng=random.Random(k))
+        issued = [issue(tree) for tree in range(emb.gamma)]
+        assert out == route_multi(g, emb, s, d, cfg, addresses=issued, rng=random.Random(k))
+        assert lazy.issued == (cfg.tau if choice == "random-tau" else emb.gamma)
+
+
 def reference_key(emb, tree, dest, metric, address, keys):
     """key(u, c) by the distances' own terms: len(c) - 2m for TD and
     (-m, len(c)) for CPL, with m found by walking the prefix or the
@@ -427,34 +461,75 @@ def test_route_matches_reference_loop(attacked_pairs, metric, addressing, backtr
     assert expected <= reasons
 
 
+@pytest.mark.parametrize("backtracking", [True, False])
+@pytest.mark.parametrize("metric", ["TD", "CPL"])
+def test_ties_keep_neighbour_order_on_unsorted_adjacency(metric, backtracking):
+    # toward d = (1, 2), u = (7, 8, 9) has the in-run neighbours a1, a2
+    # (tied under both metrics) and a3, and the shallower b, which ties
+    # with a3 under TD. The lists run against node id and rank order,
+    # so a tie group ordered either way would draw other hops. Every a
+    # is a dead end; d is reached only through b and the root.
+    u, a1, a2, a3, b, d, root = range(7)
+    coords = [(7, 8, 9), (1, 5), (1, 6), (1, 5, 6), (7,), (1, 2), ()]
+    g = Graph([[b, a3, a2, a1], [u], [u], [u], [root, u], [root], [d, b]])
+    emb = Embedding([coords], CFG)
+    cfg = RoutingConfig(metric=metric, backtracking=backtracking)
+    first, td_tie = set(), set()
+    for seed in range(20):
+        fast = route(g, emb, u, d, 0, cfg, rng=random.Random(seed))
+        slow = reference_route(g, emb, u, d, 0, cfg, None, frozenset(), None, None, random.Random(seed))
+        assert fast == slow, f"seed {seed}"
+        assert fast.success == backtracking
+        first.add(fast.path[1])
+        if backtracking and metric == "TD":
+            td_tie.add(next(v for v in fast.path if v in (a3, b)))
+    assert first == {a1, a2}
+    if backtracking and metric == "TD":
+        assert td_tie == {a3, b}
+
+
 def test_route_keys_each_visited_node_once(attacked_pairs, monkeypatch):
     # a backtracking route revisits nodes; each distinct node is keyed
-    # once (its own key plus one per eligible neighbour) per route
+    # once per route (its own key plus at most one per eligible
+    # neighbour), and only the neighbours that can improve are keyed
     g, emb, live, drop, pairs, _, _ = attacked_pairs
-    calls = 0
+    visits = []
+    keyings = 0
     key_fn = routing._key_fn
+    bisect = routing.bisect_right
 
     def counting_key_fn(*args):
-        keyed = key_fn(*args)
+        keyed, improving = key_fn(*args)
 
-        def counting_keyed(u, nodes, live):
-            nonlocal calls
-            out = keyed(u, nodes, live)
-            calls += len(out)
-            return out
+        def counting_improving(u, nodes, live):
+            visits.append(u)
+            return improving(u, nodes, live)
 
-        return counting_keyed
+        return keyed, counting_improving
+
+    def counting_bisect(*args):
+        nonlocal keyings
+        keyings += 1
+        return bisect(*args)
 
     monkeypatch.setattr(routing, "_key_fn", counting_key_fn)
+    monkeypatch.setattr(routing, "bisect_right", counting_bisect)
     heavy = 0
     for k, (s, d) in enumerate(pairs):
-        calls = 0
-        out = route(g, emb, s, d, k % emb.gamma, RoutingConfig(metric="CPL"), live=live,
+        tree = k % emb.gamma
+        visits.clear()
+        keyings = 0
+        out = route(g, emb, s, d, tree, RoutingConfig(metric="CPL"), live=live,
                     drop_nodes=drop, rng=random.Random(k))
         visited = set(out.path)
-        assert calls <= sum(g.degree(u) + 1 for u in visited), f"pair {s}->{d}"
-        heavy += len(out.path) >= 3 * len(visited)
-    assert heavy >= 3  # routes that revisit their nodes several times over
+        assert len(visits) == len(set(visits)) and set(visits) <= visited, f"pair {s}->{d}"
+        assert keyings <= sum(g.degree(u) + 1 for u in visited), f"pair {s}->{d}"
+        if len(out.path) >= 3 * len(visited):  # revisits its nodes several times over
+            heavy += 1
+            # keying every eligible neighbour would reach this count
+            eligible = sum(1 for u in visits for v in g.neighbors(u) if live[v] and emb.coord(tree, v) is not None)
+            assert keyings - len(visits) < eligible <= sum(g.degree(u) for u in visited), f"pair {s}->{d}"
+    assert heavy >= 3
 
 
 @pytest.mark.parametrize(

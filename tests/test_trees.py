@@ -317,14 +317,6 @@ def test_copy_is_independent():
     assert_consistent(ts, g)
 
 
-def test_dump_lists_all_members():
-    g = path_graph(3)
-    ts = construct_trees(g, TreeConfig(rng_seed=0), [0])
-    lines = ts.dump().strip().splitlines()
-    assert lines[0] == "tree node parent level"
-    assert len(lines) == 4
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     strategy=st.sampled_from(STRATEGIES),
