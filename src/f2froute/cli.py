@@ -12,6 +12,7 @@ flags win over the file. Progress goes to stderr, metrics to the CSV.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from f2froute.adversary import MODES, AdversaryConfig
@@ -113,6 +114,14 @@ def scenario_from_args(args: argparse.Namespace) -> Scenario:
     )
 
 
+def check_writable(path: str) -> None:
+    """Raise OSError now if path cannot be opened for writing; leave it as found."""
+    existed = os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
@@ -120,6 +129,9 @@ def main(argv=None) -> int:
         if workers < 1:
             raise ValueError(f"--workers must be >= 1, got {workers}")
         scenario = scenario_from_args(args)
+        for path in (args.out, args.graph_stats):
+            if path:  # fail before the runs, not after them
+                check_writable(path)
         if args.graph_stats:
             g = resolve_graph(scenario.graph, scenario.master_seed)
             stats = graph_stats(g, seed=scenario.master_seed)

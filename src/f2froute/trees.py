@@ -8,8 +8,10 @@ invitation happens with probability q per round, guaranteeing
 termination; DIV-DEP further keeps the lowest-level inviters. That rule
 is `choose_invitation`, applied by `TreeBuilder` during construction, by
 `handle_join` when it replays the protocol for a joining node, and by
-`handle_departure` when a departed node's subtrees pick new parents. A
-plain per-tree BFS is available as a baseline strategy.
+`handle_departure` when a departed node's subtrees pick new parents.
+An invitation is its inviter's id; the rule reads the inviter's level
+from the `TreeSet`. A plain per-tree BFS is available as a baseline
+strategy.
 """
 
 from __future__ import annotations
@@ -105,6 +107,10 @@ class TreeSet:
         if round_no > self.max_join_round[tree]:
             self.max_join_round[tree] = round_no
         self.children[tree][parent].append(v)
+        self.add_parent(v, parent)
+
+    def add_parent(self, v: int, parent: int) -> None:
+        """Count one tree more in which parent is v's parent."""
         self.pc[v][parent] = self.pc[v].get(parent, 0) + 1
 
     def release_parent(self, v: int, parent: int) -> None:
@@ -173,42 +179,30 @@ class TreeSet:
 
 
 def choose_invitation(
-    pc: dict[int, int],
-    degree: int,
-    invs: dict[int, list[tuple[int, int]]],
-    rng: random.Random,
-    cfg: TreeConfig,
-) -> tuple[int, int, int] | None:
-    """The invitation-selection rule; returns (tree, inviter, level) or None.
+    pc: dict[int, int], degree: int, invs: dict[int, list[int]], level: list[list[int]],
+    rng: random.Random, cfg: TreeConfig,
+) -> tuple[int, int] | None:
+    """The invitation-selection rule; returns (tree, inviter) or None.
 
     pc and degree are the deciding node's parent counts and degree, invs
-    its pending invitations as tree -> [(inviter, inviter_level)]. An
-    inviter whose count equals the minimum over all neighbors (0 while
-    some neighbor parents the node in no tree) is preferred and accepted
-    at once. Otherwise the node accepts with probability cfg.accept_prob,
-    among the inviters of least count. DIV-DEP keeps the lowest-level
-    candidates before the uniform draw.
+    its pending invitations as tree -> [inviter]: an invitation is its
+    inviter's id. An inviter whose count equals the minimum over all
+    neighbors (0 while some neighbor parents the node in no tree) is
+    preferred and accepted at once. Otherwise the node accepts with
+    probability cfg.accept_prob, among the inviters of least count.
+    DIV-DEP keeps the candidates of lowest level[tree][inviter], read
+    from the TreeSet, before the uniform draw.
     """
     min_all = 0 if len(pc) < degree else min(pc.values())
-    cands = [
-        (tree, w, lvl)
-        for tree, lst in invs.items()
-        for (w, lvl) in lst
-        if pc.get(w, 0) == min_all
-    ]
+    cands = [(tree, w) for tree, ws in invs.items() for w in ws if pc.get(w, 0) == min_all]
     if not cands:
         if rng.random() > cfg.accept_prob:
             return None
-        best = min(pc.get(w, 0) for lst in invs.values() for (w, _) in lst)
-        cands = [
-            (tree, w, lvl)
-            for tree, lst in invs.items()
-            for (w, lvl) in lst
-            if pc.get(w, 0) == best
-        ]
+        best = min(pc.get(w, 0) for ws in invs.values() for w in ws)
+        cands = [(tree, w) for tree, ws in invs.items() for w in ws if pc.get(w, 0) == best]
     if cfg.strategy == "DIV-DEP":
-        low = min(lvl for _, _, lvl in cands)
-        cands = [c for c in cands if c[2] == low]
+        low = min(level[tree][w] for tree, w in cands)
+        cands = [(tree, w) for tree, w in cands if level[tree][w] == low]
     return rng.choice(cands)
 
 
@@ -225,11 +219,9 @@ class TreeBuilder:
         self.round_cap = max(10, int(50 * cfg.gamma / cfg.accept_prob * max(diam, 1)))
         self.joined = cfg.gamma  # (node, tree) memberships so far
         self.target = g.node_count * cfg.gamma
-        # pending invitations: node -> tree -> list of (inviter, inviter_level)
-        self.pending: dict[int, dict[int, list[tuple[int, int]]]] = {}
-        self._outbox: list[tuple[int, int, int]] = [
-            (i, r, 0) for i, r in enumerate(roots)
-        ]
+        # pending invitations: node -> tree -> list of inviters
+        self.pending: dict[int, dict[int, list[int]]] = {}
+        self._outbox: list[tuple[int, int]] = list(enumerate(roots))  # (tree, node)
 
     @property
     def finished(self) -> bool:
@@ -241,22 +233,22 @@ class TreeBuilder:
             return
         self.round += 1
         ts, g = self.ts, self.g
-        for tree, u, lvl in self._outbox:
+        for tree, u in self._outbox:
             for v in g.neighbors(u):
                 if not ts.in_tree(tree, v):
-                    self.pending.setdefault(v, {}).setdefault(tree, []).append((u, lvl))
+                    self.pending.setdefault(v, {}).setdefault(tree, []).append(u)
         self._outbox = []
         for v in list(self.pending):
-            choice = choose_invitation(ts.pc[v], g.degree(v), self.pending[v], self.rng, self.cfg)
+            choice = choose_invitation(ts.pc[v], g.degree(v), self.pending[v], ts.level, self.rng, self.cfg)
             if choice is None:
                 continue
-            tree, w, wlvl = choice
+            tree, w = choice
             ts.attach(tree, v, w, self.round)
             self.joined += 1
             del self.pending[v][tree]
             if not self.pending[v]:
                 del self.pending[v]
-            self._outbox.append((tree, v, wlvl + 1))
+            self._outbox.append((tree, v))
 
     def run(self) -> TreeSet:
         while not self.finished:
@@ -315,13 +307,13 @@ def handle_join(ts: TreeSet, g: Graph, new_node: int, seed: int = 0) -> TreeSet:
     for i in missing:
         if not any(ts.in_tree(i, w) for w in g.neighbors(new_node)):
             raise JoinError(f"node {new_node} has no neighbor in tree {i}")
-    events: list[tuple[int, int, int, int]] = []  # (arrival_round, tree, inviter, level)
+    events: list[tuple[int, int, int]] = []  # (arrival_round, tree, inviter)
     for i in missing:
         for w in g.neighbors(new_node):
             if ts.in_tree(i, w):
-                events.append((ts.join_round[i][w] + 1, i, w, ts.level[i][w]))
+                events.append((ts.join_round[i][w] + 1, i, w))
     events.sort()
-    pending: dict[int, list[tuple[int, int]]] = {}
+    pending: dict[int, list[int]] = {}
     joined: dict[int, int] = {}  # tree -> chosen parent
     pc = dict(ts.pc[new_node])  # the parents it keeps in the trees it is in
     degree = g.degree(new_node)
@@ -333,18 +325,18 @@ def handle_join(ts: TreeSet, g: Graph, new_node: int, seed: int = 0) -> TreeSet:
         if round_no > cap:
             raise JoinError(f"join replay for node {new_node} did not converge")
         while idx < len(events) and events[idx][0] <= round_no:
-            _, tree, w, lvl = events[idx]
+            _, tree, w = events[idx]
             idx += 1
             if tree not in joined:
-                pending.setdefault(tree, []).append((w, lvl))
+                pending.setdefault(tree, []).append(w)
         if not pending:
             # a missing tree is unjoined, so its invitations are still to come
             round_no = events[idx][0] - 1
             continue
-        choice = choose_invitation(pc, degree, pending, rng, ts.cfg)
+        choice = choose_invitation(pc, degree, pending, ts.level, rng, ts.cfg)
         if choice is None:
             continue
-        tree, w, _ = choice
+        tree, w = choice
         joined[tree] = w
         pc[w] = pc.get(w, 0) + 1
         del pending[tree]
@@ -368,7 +360,9 @@ def handle_departure(
     the first subtree with a descendant that has one is re-rooted there;
     when none has, the rest cannot reach the tree and is dropped from it.
     Returns the number of coordinate reassignments, i.e. the total
-    descendant count of the departed node across trees.
+    descendant count of the departed node across trees, including the
+    nodes a repair drops from a tree: they lose their coordinate there
+    instead of getting a new one.
     """
     root_trees = [i for i in range(ts.gamma) if ts.roots[i] == node]
     if root_trees:
@@ -398,9 +392,9 @@ def handle_departure(
         while subtrees:
             waiting, invited = [], False
             for c in subtrees:
-                invs = [(v, level[v]) for v in g.neighbors(c) if level[v] >= 0]
+                invs = [v for v in g.neighbors(c) if level[v] >= 0]
                 invited = invited or bool(invs)
-                choice = invs and choose_invitation(ts.pc[c], g.degree(c), {i: invs}, rng, ts.cfg)
+                choice = invs and choose_invitation(ts.pc[c], g.degree(c), {i: invs}, ts.level, rng, ts.cfg)
                 if not choice:  # no member neighbor, or declined under q
                     waiting.append(c)
                     continue
@@ -429,7 +423,7 @@ def handle_departure(
                 children[u].append(p)
                 ts.release_parent(u, p)
                 parent[p] = u
-                ts.pc[p][u] = ts.pc[p].get(u, 0) + 1
+                ts.add_parent(p, u)
             parent[d] = ABSENT
             subtrees.remove(c)
             subtrees.append(d)

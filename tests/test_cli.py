@@ -131,6 +131,31 @@ def test_graph_stats_export(tmp_path):
     assert lines[1].split(",")[0] == "90"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--graph-stats"])
+def test_unwritable_output_fails_before_any_run(tmp_path, capsys, monkeypatch, flag):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("graph or runs started before the output was checked")
+
+    monkeypatch.setattr("f2froute.cli.resolve_graph", must_not_run)
+    monkeypatch.setattr("f2froute.cli.run_scenario", must_not_run)
+    out, bad = tmp_path / "r.csv", tmp_path / "nodir" / "o.csv"
+    argv = ["--graph", "pa:60:2", "--pairs", "5", "--runs", "1", flag, str(bad)]
+    if flag != "--out":
+        argv += ["--out", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0], err
+    assert not out.exists()  # the check leaves no file behind
+
+
+def test_output_check_leaves_existing_files_unchanged(tmp_path, monkeypatch):
+    out = tmp_path / "r.csv"
+    out.write_text("kept\n")
+    monkeypatch.setattr("f2froute.cli.run_scenario", lambda *a, **k: [])
+    assert run_cli(["--graph", "pa:60:2", "--out", str(out)]) == 1  # no rows to write
+    assert out.read_text() == "kept\n"
+
+
 def test_scenario_from_args_mapping():
     args = parse_args([
         "--graph", "er:50:0.1", "--gamma", "3", "--q", "0.7", "--strategy", "BFS",

@@ -1,5 +1,6 @@
 import random
 import signal
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,7 +115,7 @@ def test_non_preferred_acceptance_rate_matches_q():
     cfg = TreeConfig(gamma=2, accept_prob=q)
     for t in range(trials):
         # node 1 has degree 2; node 0 parents it in tree 0 and invites it to tree 1
-        if choose_invitation({0: 1}, g.degree(1), {1: [(0, 0)]}, random.Random(t), cfg) is not None:
+        if choose_invitation({0: 1}, g.degree(1), {1: [0]}, [[0], [0]], random.Random(t), cfg) is not None:
             accepted += 1
     rate = accepted / trials
     sigma = (q * (1 - q) / trials) ** 0.5
@@ -123,9 +124,24 @@ def test_non_preferred_acceptance_rate_matches_q():
 
 def test_div_dep_prefers_lower_level():
     # no neighbor parents the node yet, so all three invitations are preferred
-    invs = {0: [(5, 3), (6, 1), (7, 2)]}
+    level = [{5: 3, 6: 1, 7: 2}]
     cfg = TreeConfig(strategy="DIV-DEP")
-    assert choose_invitation({}, 3, invs, random.Random(0), cfg) == (0, 6, 1)
+    assert choose_invitation({}, 3, {0: [5, 6, 7]}, level, random.Random(0), cfg) == (0, 6)
+
+
+def test_construction_peak_stays_near_the_built_trees():
+    # pending invitations are the construction's transient: each one must
+    # cost no more than a reference to its inviter
+    g = generate_synthetic("pa", 2000, 5, seed=3)
+    cfg = TreeConfig(gamma=15, strategy="DIV-RAND", rng_seed=3)
+    tracemalloc.start()
+    try:
+        ts = construct_trees(g, cfg, list(range(15)))
+        built, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ts.node_count == 2000
+    assert peak <= 1.8 * built, (peak, built)
 
 
 def test_handle_join_attaches_everywhere():
@@ -361,7 +377,7 @@ def reference_handle_join(ts, g, new_node, seed=0):
     for i in missing:
         for w in g.neighbors(new_node):
             if ts.in_tree(i, w):
-                events.append((ts.join_round[i][w] + 1, i, w, ts.level[i][w]))
+                events.append((ts.join_round[i][w] + 1, i, w))
     events.sort()
     pending, joined = {}, {}
     pc = dict(ts.pc[new_node])
@@ -373,16 +389,16 @@ def reference_handle_join(ts, g, new_node, seed=0):
         if round_no > cap:
             raise JoinError(f"join replay for node {new_node} did not converge")
         while idx < len(events) and events[idx][0] <= round_no:
-            _, tree, w, lvl = events[idx]
+            _, tree, w = events[idx]
             idx += 1
             if tree not in joined:
-                pending.setdefault(tree, []).append((w, lvl))
+                pending.setdefault(tree, []).append(w)
         if not pending:
             continue
-        choice = choose_invitation(pc, degree, pending, rng, ts.cfg)
+        choice = choose_invitation(pc, degree, pending, ts.level, rng, ts.cfg)
         if choice is None:
             continue
-        tree, w, _ = choice
+        tree, w = choice
         joined[tree] = w
         pc[w] = pc.get(w, 0) + 1
         del pending[tree]
