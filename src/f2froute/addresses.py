@@ -1,11 +1,12 @@
 """Anonymous route-preserving return addresses.
 
 A node publishes a hash cascade of its padded coordinate instead of the
-coordinate itself. Any forwarder can compare a neighbor coordinate
-against the cascade (the diversity measure) and take exactly the same
-greedy decision it would take on the plain coordinate, without learning
-the receiver's position. An optional symmetric-encryption layer bound to
-subtree keys further restricts evaluators to "closer than me" checks.
+coordinate itself; the padding is one keyed SHAKE-256 stream. Any
+forwarder can compare a neighbor coordinate against the cascade (the
+diversity measure) and take exactly the same greedy decision it would
+take on the plain coordinate, without learning the receiver's position.
+An optional symmetric-encryption layer bound to subtree keys further
+restricts evaluators to "closer than me" checks.
 
 H is a pure function of its input, so a router can share one
 `CascadeDigests` memo across all its evaluations of an address and hash
@@ -52,7 +53,8 @@ def _hasher(prefix: bytes, bits: int):
     from_bytes = int.from_bytes
 
     def h(value: int) -> int:
-        return from_bytes(shake(prefix + _word(value)).digest(nbytes), "little") & mask
+        data = prefix + (value & _WORD_MASK).to_bytes(32, "little")  # _word(value) without the call
+        return from_bytes(shake(data).digest(nbytes), "little") & mask
 
     return h
 
@@ -220,7 +222,9 @@ def generate_rp(
 ) -> ReturnAddress:
     """Pad the coordinate, apply the hash cascade, and add a MAC.
 
-    The first padding element is redrawn (new padding seed) while it
+    The padding elements are consecutive ceil(bits / 8)-byte slices of
+    one keyed stream, shake_256(b"pad" + s_pad), read little-endian and
+    masked to `bits`. The first one is redrawn (new padding seed) while it
     collides with a child's next coordinate element, so the issuer stays
     the unique closest coordinate to its own padded coordinate.
     """
@@ -229,9 +233,11 @@ def generate_rp(
     l = len(x)
     if l > big_l:
         raise ValueError(f"coordinate length {l} exceeds padding target {big_l}")
+    nbytes, mask = (bits + 7) // 8, (1 << bits) - 1
     while True:
-        draw = _hasher(b"prng" + _word(s_pad), bits)  # counter -> prng_value(s_pad, counter, bits)
-        padding = tuple(map(draw, range(l + 1, big_l + 1)))
+        stream = hashlib.shake_256(b"pad" + _word(s_pad)).digest(nbytes * (big_l - l))
+        cuts = range(0, len(stream), nbytes)
+        padding = tuple([int.from_bytes(stream[i : i + nbytes], "little") & mask for i in cuts])
         if l == big_l or padding[0] not in children_next_elements:
             break
         s_pad += 1

@@ -22,6 +22,7 @@ from f2froute.experiments import (
     Scenario,
     resolve_graph,
     run_scenario,
+    run_seed,
     write_csv,
 )
 from f2froute.graph import GraphFormatError, GenerationError, graph_stats
@@ -132,9 +133,9 @@ def main(argv=None) -> int:
         for path in (args.out, args.graph_stats):
             if path:  # fail before the runs, not after them
                 check_writable(path)
-        if args.graph_stats:
-            g = resolve_graph(scenario.graph, scenario.master_seed)
-            stats = graph_stats(g, seed=scenario.master_seed)
+        if args.graph_stats:  # run 0's graph
+            seed = run_seed(scenario.master_seed, 0)
+            stats = graph_stats(resolve_graph(scenario.graph, seed), seed=seed)
             with open(args.graph_stats, "w", encoding="utf-8") as fh:
                 fh.write(stats.CSV_HEADER + "\n" + stats.csv_row() + "\n")
             print(f"graph stats written to {args.graph_stats}", file=sys.stderr)

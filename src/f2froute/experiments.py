@@ -137,8 +137,13 @@ def stabilization_metric(
     return total / samples
 
 
+def run_seed(master_seed: int, run_idx: int) -> int:
+    """The seed of run run_idx: its graph, trees, pairs and draws all derive from it."""
+    return master_seed * 1_000_003 + run_idx
+
+
 def _run_once(s: Scenario, run_idx: int) -> dict[str, float]:
-    seed = s.master_seed * 1_000_003 + run_idx
+    seed = run_seed(s.master_seed, run_idx)
     g = resolve_graph(s.graph, seed)
     tree_cfg = TreeConfig(
         gamma=s.tree.gamma,

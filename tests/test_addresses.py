@@ -107,18 +107,40 @@ def test_generate_rp_padding_redraw():
     tiny = EmbeddingConfig(bits_per_element=2, max_length=4, cpl_constant=4)
     keys = AddressKeys(mac_key=5, subtree_keys={})
     s_pad = 7
-    first = prng_value(s_pad, 2, 2)  # coordinate length 1: padding starts at j=2
+    first = ref_padding(s_pad, 3, 2)[0]  # coordinate length 1: three padding elements
     addr = generate_rp((1,), keys, {first}, 3, s_pad, tiny)
-    redrawn = prng_value(s_pad + 1, 2, 2)
+    redrawn = ref_padding(s_pad + 1, 3, 2)[0]
     if redrawn != first:
         expected_seed = s_pad + 1
     else:
         expected_seed = s_pad + 2
     assert addr.digest_vector == hash_cascade(
-        (1,) + tuple(prng_value(expected_seed, j, 2) for j in (2, 3, 4)),
+        (1,) + ref_padding(expected_seed, 3, 2),
         prng_value(3, 0, 2),
         2,
     )
+
+
+def test_generate_rp_hash_budget(monkeypatch):
+    # one padding stream, the routing seed, L cascade digests and the MAC
+    cfg = EmbeddingConfig(bits_per_element=128, max_length=128, cpl_constant=128)
+    keys = AddressKeys(mac_key=5, subtree_keys={})
+    x = (4, 9, 2)
+    blocked = ref_padding(20, cfg.max_length - len(x), 128)[0]
+    calls = []
+    shake = hashlib.shake_256
+
+    def counting(data=b""):
+        calls.append(data)
+        return shake(data)
+
+    monkeypatch.setattr(hashlib, "shake_256", counting)
+    generate_rp(x, keys, set(), 10, 20, cfg)
+    plain = len(calls)
+    assert plain <= cfg.max_length + 3
+    calls.clear()
+    generate_rp(x, keys, {blocked}, 10, 20, cfg)
+    assert len(calls) == plain + 1  # a redraw costs one more stream
 
 
 def test_generate_rp_rejects_overlong_coordinate():
@@ -334,10 +356,19 @@ def ref_hash_cascade(elements, seed_value, bits):
     return tuple(out)
 
 
+def ref_padding(s_pad, count, bits):
+    """count elements of ceil(bits / 8) bytes each, cut in order from the
+    stream shake_256(b"pad" + s_pad), read little-endian, masked to bits."""
+    nbytes = (bits + 7) // 8
+    stream = hashlib.shake_256(b"pad" + (s_pad % 2**256).to_bytes(32, "little")).digest(nbytes * count)
+    chunks = [stream[j * nbytes : (j + 1) * nbytes] for j in range(count)]
+    return tuple(int.from_bytes(c, "little") % 2**bits for c in chunks)
+
+
 def ref_generate_rp(x, mac_key, children_next, s, s_pad, cfg):
     bits, big_l, l = cfg.bits_per_element, cfg.max_length, len(x)
     while True:
-        padding = tuple(ref_prng_value(s_pad, j, bits) for j in range(l + 1, big_l + 1))
+        padding = ref_padding(s_pad, big_l - l, bits)
         if l == big_l or padding[0] not in children_next:
             break
         s_pad += 1
@@ -386,7 +417,7 @@ def test_generate_rp_matches_reference(bits, big_l, data):
     x = tuple(data.draw(st.lists(st.integers(0, 2**bits - 1), max_size=big_l), label="x"))
     mac_key, s, s_pad = (data.draw(WIDE, label=name) for name in ("mac_key", "s", "s_pad"))
     # block the first padding draw now and then to force a redraw
-    first = ref_prng_value(s_pad, len(x) + 1, bits)
+    first = ref_padding(s_pad, 1, bits)[0]  # a stream's first element leads all its longer cuts
     children_next = {first} if data.draw(st.booleans(), label="block") else set()
     keys = AddressKeys(mac_key=mac_key, subtree_keys={})
     addr = generate_rp(x, keys, children_next, s, s_pad, cfg)

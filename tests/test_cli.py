@@ -2,6 +2,7 @@ import pytest
 
 from f2froute import experiments
 from f2froute.cli import load_config_file, main, parse_args, scenario_from_args
+from f2froute.graph import graph_stats
 from f2froute.trees import ConstructionError, JoinError
 
 
@@ -129,6 +130,26 @@ def test_graph_stats_export(tmp_path):
     lines = stats.read_text().splitlines()
     assert lines[0] == "n,m,giant_size,diameter_estimate,mean_degree"
     assert lines[1].split(",")[0] == "90"
+
+
+def test_graph_stats_describe_run_zeros_graph(tmp_path, monkeypatch):
+    # the master seed's own graph has 618 edges; run 0 builds another one
+    built = []
+    real_resolve = experiments.resolve_graph
+
+    def recording_resolve(spec, seed):
+        built.append(real_resolve(spec, seed))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "resolve_graph", recording_resolve)
+    stats = tmp_path / "gs.csv"
+    code = run_cli(["--graph", "er:200:0.03", "--seed", "3", "--pairs", "5", "--runs", "1",
+                    "--out", str(tmp_path / "r.csv"), "--graph-stats", str(stats)])
+    assert code == 0
+    assert [g.edge_count for g in built] == [605]
+    row = stats.read_text().splitlines()[1]
+    assert row == graph_stats(built[0], seed=experiments.run_seed(3, 0)).csv_row()
+    assert row.split(",")[1] == "605"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--graph-stats"])
