@@ -172,7 +172,9 @@ class AddressKeys:
 
 
 def _mac(key: int, vector: tuple[int, ...], bits: int) -> int:
-    return _shake(b"mac", key, *vector, bits=bits)
+    # _shake(b"mac", key, *vector) with each _word encoded inline
+    words = [(v & _WORD_MASK).to_bytes(32, "little") for v in vector]
+    return _digest(b"mac" + (key & _WORD_MASK).to_bytes(32, "little") + b"".join(words), bits)
 
 
 def generate_address_keys(n: int, seed: int, bits: int) -> list[AddressKeys]:

@@ -90,7 +90,8 @@ def attach_attacker(g: Graph, x: int, seed: int) -> tuple[Graph, int]:
 
 def choose_roots(g: Graph, gamma: int, seed: int, exclude=()) -> list[int]:
     """Distinct random roots for the gamma trees, excluding given nodes."""
-    allowed = [v for v in range(g.node_count) if v not in set(exclude)]
+    banned = set(exclude)
+    allowed = [v for v in range(g.node_count) if v not in banned]
     if not allowed:
         raise ValueError("no eligible root nodes")
     rng = random.Random(seed)

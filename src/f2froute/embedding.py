@@ -8,7 +8,8 @@ dominant distance that avoids routes through the root.
 An embedding also keeps each tree's coordinates in lexicographic order.
 The coordinates that start with a prefix p form one contiguous run of
 that order, so a node's common prefix length with a target follows from
-its rank alone (`TreeRanks`).
+its rank alone (`TreeRanks`). Each tree also indexes, node by node as
+routing first asks, the neighbours by depth and rank (`NeighbourIndex`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from f2froute.graph import Graph
 from f2froute.trees import TreeSet
 
 Coordinate = tuple[int, ...]
@@ -48,7 +50,7 @@ class TreeRanks:
     coordinate; length[v] is the length of its coordinate.
     """
 
-    __slots__ = ("ordered", "rank", "length")
+    __slots__ = ("ordered", "rank", "length", "_index")
 
     def __init__(self, coords: list[Coordinate | None]):
         present = [v for v, c in enumerate(coords) if c is not None]
@@ -58,6 +60,7 @@ class TreeRanks:
         for r, v in enumerate(present):
             rank[v] = r
         self.length = array("i", [0 if c is None else len(c) for c in coords])
+        self._index = None
 
     def match_table(self, target: Coordinate, weight: int = 1) -> tuple[list[int], list[int]]:
         """(bounds, table): for a node v with a coordinate,
@@ -80,6 +83,80 @@ class TreeRanks:
         n = len(target)
         table = [weight * m for m in range(n + 1)]
         return los + his[::-1], table + table[-2::-1]
+
+    def neighbour_index(self, g: Graph) -> NeighbourIndex:
+        """This tree's neighbour index on g; a new, empty one when the
+        index held so far was built on another graph."""
+        index = self._index
+        if index is None or index.graph is not g:
+            index = self._index = NeighbourIndex(g, self)
+        return index
+
+
+class NeighbourIndex:
+    """One tree's neighbour lists on one graph, split by depth and rank.
+
+    Each node's entry is filled the first time `split` asks for it. All
+    entries share one flat array, `data`; u's entry starts at
+    data[offset[u]] (offset -1: not filled yet) and reads, in order: the
+    count s of u's neighbours with a coordinate shorter than u's (the
+    shallower ones), the count r of its other neighbours with a
+    coordinate, the s positions in u's neighbour list of the shallower
+    ones, in neighbour order, and the r ranks of the others, sorted,
+    followed by their positions in the same order. Values take 16 bits
+    while the tree and the graph have at most 65,536 nodes, since every
+    rank, position and count is then below 65,536.
+    """
+
+    __slots__ = ("graph", "offset", "data", "_rank", "_length")
+
+    def __init__(self, g: Graph, ranks: TreeRanks):
+        n = len(ranks.rank)
+        self.graph = g
+        self.offset = array("i", [-1]) * n
+        self.data = array("H" if max(n, g.node_count) <= 1 << 16 else "i")
+        self._rank, self._length = ranks.rank, ranks.length
+
+    def split(self, u: int, lo: int, hi: int) -> tuple[array, array, array]:
+        """(shallower, ranks, positions): the positions in u's neighbour
+        list of its shallower neighbours, in neighbour order, and the
+        ranks in [lo, hi) of its other neighbours, sorted, beside their
+        positions. Two bisections find the ranks."""
+        data = self.data
+        o = self.offset[u]
+        if o < 0:
+            o = self._fill(u)
+        first = o + 2
+        others = first + data[o]
+        end = others + data[o + 1]
+        a = bisect_left(data, lo, others, end)
+        b = bisect_left(data, hi, a, end)
+        shift = end - others
+        return data[first:others], data[a:b], data[a + shift:b + shift]
+
+    def _fill(self, u: int) -> int:
+        """Write u's entry and return its offset."""
+        rank, length = self._rank, self._length
+        lu = length[u]
+        nbrs = self.graph.adjacency[u]
+        ranks = [rank[v] for v in nbrs]
+        shallower: list[int] = []
+        others: list[int] = []
+        for j, v in enumerate(nbrs):
+            if ranks[j] >= 0:
+                if length[v] < lu:
+                    shallower.append(j)
+                else:
+                    others.append(j)
+        others.sort(key=ranks.__getitem__)
+        data = self.data
+        o = self.offset[u] = len(data)
+        data.append(len(shallower))
+        data.append(len(others))
+        data.extend(shallower)
+        data.extend([ranks[j] for j in others])
+        data.extend(others)
+        return o
 
 
 class Embedding:

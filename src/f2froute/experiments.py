@@ -194,7 +194,8 @@ def _run_once(s: Scenario, run_idx: int) -> dict[str, float]:
     if "dht_underlay_hops" in s.metrics:
         dht_nodes = build_overlay(g, s.dht, seed + 4)
         drng = random.Random(seed + 5)
-        live_pool = [v for v in mask.live_nodes() if v not in set(exclude)]
+        banned = set(exclude)
+        live_pool = [v for v in mask.live_nodes() if v not in banned]
         hops = []
         for _ in range(s.dht_lookups):
             origin = drng.choice(live_pool)

@@ -41,18 +41,19 @@ class BucketEntry:
 @dataclass
 class DhtNode:
     kad_id: int
-    # bucket j holds only entries whose id shares exactly j leading bits
-    buckets: dict[int, list[BucketEntry]] = field(default_factory=dict)
-
-    def entries(self):
-        for bucket in self.buckets.values():
-            yield from bucket
+    # bucket j holds only entries whose id shares exactly j leading bits,
+    # so a node is in one bucket at most
+    buckets: dict[int, tuple[BucketEntry, ...]] = field(default_factory=dict)
 
     def remove_entry(self, node: int) -> None:
-        for j, bucket in list(self.buckets.items()):
-            self.buckets[j] = [e for e in bucket if e.node != node]
-            if not self.buckets[j]:
-                del self.buckets[j]
+        for j, bucket in self.buckets.items():
+            kept = tuple([e for e in bucket if e.node != node])
+            if len(kept) < len(bucket):
+                if kept:
+                    self.buckets[j] = kept
+                else:
+                    del self.buckets[j]
+                return
 
 
 @dataclass
@@ -66,6 +67,22 @@ class LookupOutcome:
 
 def xor_distance(a: int, b: int) -> int:
     return a ^ b
+
+
+def closer_entries(dn: DhtNode, key: int) -> list[BucketEntry]:
+    """dn's entries strictly closer to key than dn, closest first.
+
+    An entry of bucket j differs from dn first at bit j from the top, so
+    it is closer exactly when bit j of dn.kad_id ^ key is 1, and every
+    such entry of bucket j is closer than those of any later such
+    bucket. Only those buckets are read, in increasing j, each sorted.
+    """
+    d = dn.kad_id ^ key
+    out: list[BucketEntry] = []
+    for j in sorted(dn.buckets):
+        if d >> (ID_BITS - 1 - j) & 1:
+            out += sorted(dn.buckets[j], key=lambda e: e.kad_id ^ key)
+    return out
 
 
 def assign_ids(n: int, seed: int) -> list[int]:
@@ -107,12 +124,13 @@ def build_overlay(g: Graph, cfg: DhtConfig, seed: int) -> list[DhtNode]:
         for group, sibling in ((zeros, ones), (ones, zeros)):
             if not sibling:
                 continue
+            if len(sibling) <= cfg.bucket_size:  # every member's bucket holds the whole sibling
+                whole = tuple([entries[w] for w in sibling])
+                for v in group:
+                    nodes[v].buckets[depth] = whole
+                continue
             for v in group:
-                if len(sibling) <= cfg.bucket_size:
-                    pick = sibling
-                else:
-                    pick = rng.sample(sibling, cfg.bucket_size)
-                nodes[v].buckets[depth] = [entries[w] for w in pick]
+                nodes[v].buckets[depth] = tuple([entries[w] for w in rng.sample(sibling, cfg.bucket_size)])
         fill(zeros, depth + 1)
         fill(ones, depth + 1)
 
@@ -146,12 +164,6 @@ def dht_lookup(
     overlay_hops = 0
     path = [origin]
 
-    def closer_entries(u: int) -> list[BucketEntry]:
-        d_u = xor_distance(nodes[u].kad_id, key)
-        es = [e for e in nodes[u].entries() if xor_distance(e.kad_id, key) < d_u]
-        es.sort(key=lambda e: xor_distance(e.kad_id, key))
-        return es
-
     def contact(u: int, e: BucketEntry) -> bool:
         nonlocal underlay
         if live is not None and not live[e.node]:
@@ -171,7 +183,7 @@ def dht_lookup(
         u = start
         while True:
             advanced = False
-            for e in closer_entries(u):
+            for e in closer_entries(nodes[u], key):
                 if contact(u, e):
                     overlay_hops += 1
                     path.append(e.node)
@@ -181,7 +193,7 @@ def dht_lookup(
             if not advanced:
                 return u
 
-    first = closer_entries(origin)
+    first = closer_entries(nodes[origin], key)
     if not first:
         return LookupOutcome(True, origin, 0, 0, path)
     terminals = []

@@ -48,9 +48,20 @@ set of tuples by the nesting above. Any other improving v is shallower
 than u: under TD, len(v) - 2m(v) < len(u) - 2m(u) with m(v) <= m(u)
 forces len(v) < len(u); under CPL the weight exceeds any length, so
 m(v) < m(u) never improves and m(v) = m(u) improves only when
-len(v) < len(u). A rank and a length comparison thus pass over most of
-a hub's neighbours without a bisection. Addresses hide the ranks, so
-they key every neighbour and then drop the ones that do not improve.
+len(v) < len(u). Each tree therefore keeps a neighbour index
+(`embedding.NeighbourIndex`), filled for a node the first time a route
+decides there: its neighbours with a coordinate, split into the
+shallower ones, in neighbour order, and the others, sorted by rank. A
+visit keys the shallower ones and the slice of the others that two
+bisections find in the run, and reads no other neighbour, not even its
+liveness. Sorting the options by key and then by neighbour position
+gives the tie groups, and so the draws, of a scan of every neighbour.
+The index costs 2 bytes per shallower neighbour and 4 per other
+neighbour of every visited node, twice that past 65,536 nodes, plus
+4 bytes per node per tree for the offsets. It belongs to the `Graph`
+object it was built on; a route on another graph starts a new one.
+Addresses hide the ranks, so they key every neighbour and then drop the
+ones that do not improve.
 """
 
 from __future__ import annotations
@@ -122,27 +133,30 @@ class MultiRouteOutcome:
     attempts: list[RouteOutcome] = field(default_factory=list)
 
 
-def _key_fn(emb, tree, dest, metric, address, keys):
-    """(keyed, improving) toward dest in one tree.
+def _key_fn(g, emb, tree, dest, metric, address, keys):
+    """(keyed, improving) toward dest in one tree of g.
 
     keyed(u, nodes, live): (key, v) for each v in nodes that is live and
     has a coordinate in the tree, in order, keyed as u sees it.
-    improving(u, nodes, live): the (key, v) pairs among those whose key
-    is below u's own, sorted stably by key.
+    improving(u, live): u's neighbours v whose key is below u's own, as
+    tuples that start with the key and end with v, sorted by key and then
+    by neighbour order; coordinates give (key, position of v, v).
 
     A key is len(c) - w * m for candidate coordinate c with matched
     prefix m; smaller means closer to the target. Coordinates read m from
     the candidate's rank and key only the candidates that can improve on
-    u; addresses key every candidate through the hash cascade, whose
-    digests are shared by every evaluation through this key, so each
-    distinct input is hashed once.
+    u, which the tree's neighbour index lists; addresses key every
+    candidate through the hash cascade, whose digests are shared by every
+    evaluation through this key, so each distinct input is hashed once.
     """
+    adjacency = g.adjacency
     if address is None:
         dest_coord = emb.coord(tree, dest)
         if dest_coord is None:
             raise ValueError(f"destination {dest} has no coordinate in tree {tree}")
         ranks = emb.ranks[tree]
         rank, length = ranks.rank, ranks.length
+        split = ranks.neighbour_index(g).split
         bounds, wm = ranks.match_table(dest_coord, MATCH_WEIGHT[metric])
         n = len(dest_coord)
 
@@ -152,19 +166,24 @@ def _key_fn(emb, tree, dest, metric, address, keys):
                 for v in nodes if (live is None or live[v]) and (r := rank[v]) >= 0
             ]
 
-        def improving(u, nodes, live):
+        def improving(u, live):
             i = bisect_right(bounds, rank[u])
-            lu = length[u]
-            own = lu - wm[i]
+            own = length[u] - wm[i]
             m = i if i <= n else 2 * n - i
             # ranks in [lo, hi) match more than u; the rest must be shallower
             lo, hi = (bounds[m], bounds[2 * n - 1 - m]) if m < n else (0, 0)
+            shallower, ranks_in_run, in_run = split(u, lo, hi)
+            nbrs = adjacency[u]
             options = [
-                (k, v) for v in nodes
-                if (live is None or live[v]) and (r := rank[v]) >= 0 and (lo <= r < hi or length[v] < lu)
-                and (k := length[v] - wm[bisect_right(bounds, r)]) < own
+                (k, j, v) for j in shallower for v in [nbrs[j]]
+                if (live is None or live[v]) and (k := length[v] - wm[bisect_right(bounds, rank[v])]) < own
             ]
-            options.sort(key=itemgetter(0))
+            if in_run:
+                options += [
+                    (k, j, v) for r, j in zip(ranks_in_run, in_run) for v in [nbrs[j]]
+                    if (live is None or live[v]) and (k := length[v] - wm[bisect_right(bounds, r)]) < own
+                ]
+            options.sort()
             return options
 
         return keyed, improving
@@ -196,9 +215,9 @@ def _key_fn(emb, tree, dest, metric, address, keys):
                     out.append((key(u, c), v))
         return out
 
-    def improving(u, nodes, live):
+    def improving(u, live):
         own = key(u, coords[u])
-        options = [o for o in keyed(u, nodes, live) if o[0] < own]
+        options = [o for o in keyed(u, adjacency[u], live) if o[0] < own]
         options.sort(key=itemgetter(0))
         return options
 
@@ -236,7 +255,7 @@ def route(
         return RouteOutcome(True, 0, [src], route_length=0)
     if emb.coord(tree, src) is None:
         raise ValueError(f"source {src} has no coordinate in tree {tree}")
-    improving = (_key or _key_fn(emb, tree, dest, cfg.metric, address, keys))[1]
+    improving = (_key or _key_fn(g, emb, tree, dest, cfg.metric, address, keys))[1]
     cap = cfg.max_hops if cfg.max_hops is not None else 4 * (g.node_count + g.edge_count)
     ranked: dict[int, list] = {}  # u -> u's untried improving options by key
     chain = [src]
@@ -246,7 +265,7 @@ def route(
         u = chain[-1]
         options = ranked.get(u)
         if options is None:
-            options = ranked[u] = improving(u, g.neighbors(u), live)
+            options = ranked[u] = improving(u, live)
         if options:
             best_key = options[0][0]
             ties = 1
@@ -254,7 +273,7 @@ def route(
                 ties += 1
             # the same draw as rng.choice over the tie group in neighbour order
             pick = 0 if ties == 1 else rng.choice(range(ties))
-            nxt = options.pop(pick)[1]
+            nxt = options.pop(pick)[-1]
             hops += 1
             path.append(nxt)
             if hops > cap:
@@ -299,7 +318,7 @@ def select_trees(
     key = {}
     for i in range(gamma):
         addr = addresses[i] if addresses is not None else None
-        key[i] = _key_fn(emb, i, dest, cfg.metric, addr, keys)
+        key[i] = _key_fn(g, emb, i, dest, cfg.metric, addr, keys)
         options = key[i][0](src, g.neighbors(src), live)
         if options:
             scored.append((min(k for k, _ in options), i))

@@ -11,6 +11,7 @@ from f2froute.overlay import (
     DhtConfig,
     assign_ids,
     build_overlay,
+    closer_entries,
     dht_lookup,
     xor_distance,
 )
@@ -52,7 +53,7 @@ def test_two_nodes_know_each_other():
     g = Graph.from_edges(2, [(0, 1)])
     nodes = build_overlay(g, DhtConfig(), 5)
     for v, other in ((0, 1), (1, 0)):
-        entries = list(nodes[v].entries())
+        entries = [e for b in nodes[v].buckets.values() for e in b]
         assert len(entries) == 1 and entries[0].node == other
 
 
@@ -90,16 +91,51 @@ def test_lookup_own_id_is_free():
 def test_lookup_reaches_global_closest():
     g, emb = build(n=150, seed=4)
     n = g.node_count
-    cfg = DhtConfig()
-    nodes = build_overlay(g, cfg, 9)
-    rng = random.Random(2)
     rcfg = RoutingConfig(tau=2)
-    for _ in range(60):
-        key = rng.getrandbits(160)
-        origin = rng.randrange(n)
-        out = dht_lookup(key, origin, nodes, g, emb, cfg, rcfg, rng=rng)
-        best = min(range(n), key=lambda v: xor_distance(nodes[v].kad_id, key))
-        assert out.success and out.terminal == best
+    for alpha in (1, 2):
+        cfg = DhtConfig(alpha=alpha)
+        nodes = build_overlay(g, cfg, 9)
+        rng = random.Random(2)
+        for _ in range(60):
+            key = rng.getrandbits(160)
+            origin = rng.randrange(n)
+            out = dht_lookup(key, origin, nodes, g, emb, cfg, rcfg, rng=rng)
+            best = min(range(n), key=lambda v: xor_distance(nodes[v].kad_id, key))
+            assert out.success and out.terminal == best
+
+
+def scan_closer_entries(dn, key):
+    """Every entry of every bucket, kept if closer to key than dn, sorted."""
+    d_u = xor_distance(dn.kad_id, key)
+    es = [e for b in dn.buckets.values() for e in b if xor_distance(e.kad_id, key) < d_u]
+    es.sort(key=lambda e: xor_distance(e.kad_id, key))
+    return es
+
+
+def test_closer_entries_match_scan_and_sort():
+    g, _ = build(n=200)
+    nodes = build_overlay(g, DhtConfig(bucket_size=4), 17)
+    rng = random.Random(18)
+    keys = [rng.getrandbits(ID_BITS) for _ in range(200)]
+    keys += [nodes[v].kad_id ^ (1 << rng.randrange(ID_BITS)) for v in range(0, 200, 20)]
+
+    def check():
+        for dn in nodes:
+            for key in keys + [dn.kad_id]:
+                assert closer_entries(dn, key) == scan_closer_entries(dn, key)
+
+    check()
+    # evict a third of the peers everywhere, emptying some buckets
+    filled = sum(len(dn.buckets) for dn in nodes)
+    for victim in rng.sample(range(200), 66):
+        for dn in nodes:
+            dn.remove_entry(victim)
+    assert sum(len(dn.buckets) for dn in nodes) < filled
+    for dn in nodes:
+        assert all(dn.buckets.values())
+        for bucket in dn.buckets.values():
+            assert isinstance(bucket, tuple)
+    check()
 
 
 def test_lookup_xor_strictly_decreases_alpha1():
@@ -152,11 +188,11 @@ def test_dead_entry_evicted_on_failed_contact():
     n = g.node_count
     # pick an origin that has some entry, kill that entry's node
     origin = 0
-    victim = next(iter(nodes[origin].entries())).node
+    victim = next(iter(nodes[origin].buckets.values()))[0].node
     live = [v != victim for v in range(n)]
     key = nodes[victim].kad_id  # aim straight at the dead node
     dht_lookup(key, origin, nodes, g, emb, cfg, RoutingConfig(tau=2), live=live)
-    assert victim not in [e.node for e in nodes[origin].entries()]
+    assert victim not in [e.node for b in nodes[origin].buckets.values() for e in b]
 
 
 def test_lookups_survive_churn_after_stabilization():

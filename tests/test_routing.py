@@ -1,6 +1,8 @@
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 
@@ -16,7 +18,7 @@ from f2froute.addresses import (
     ppp_partial_decrypt,
 )
 from f2froute.adversary import apply_att_rand, attach_attacker, inject_failures
-from f2froute.embedding import Embedding, EmbeddingConfig, assign_coordinates, cpl, delta_td
+from f2froute.embedding import MATCH_WEIGHT, Embedding, EmbeddingConfig, assign_coordinates, cpl, delta_td
 from f2froute.experiments import sample_pairs
 from f2froute.graph import Graph, generate_synthetic
 from f2froute.routing import (
@@ -488,6 +490,145 @@ def test_ties_keep_neighbour_order_on_unsorted_adjacency(metric, backtracking):
         assert td_tie == {a3, b}
 
 
+def scan_improving(g, emb, tree, dest, metric, u, live):
+    """u's improving options by a scan of all its neighbours: the rank and
+    length tests that the neighbour index replaced, on every neighbour."""
+    ranks = emb.ranks[tree]
+    rank, length = ranks.rank, ranks.length
+    dest_coord = emb.coord(tree, dest)
+    bounds, wm = ranks.match_table(dest_coord, MATCH_WEIGHT[metric])
+    n = len(dest_coord)
+    i = bisect_right(bounds, rank[u])
+    lu = length[u]
+    own = lu - wm[i]
+    m = i if i <= n else 2 * n - i
+    lo, hi = (bounds[m], bounds[2 * n - 1 - m]) if m < n else (0, 0)
+    options = [
+        (k, v) for v in g.neighbors(u)
+        if (live is None or live[v]) and (r := rank[v]) >= 0 and (lo <= r < hi or length[v] < lu)
+        and (k := length[v] - wm[bisect_right(bounds, r)]) < own
+    ]
+    options.sort(key=itemgetter(0))
+    return options
+
+
+def keys_and_nodes(options):
+    return [(o[0], o[-1]) for o in options]
+
+
+def assert_index_matches_scan(g, emb, dests, live):
+    """Every node with a coordinate, every tree, both metrics: the first
+    destination finds each node's entry cold, the others warm."""
+    for metric in ("TD", "CPL"):
+        fresh = Embedding(emb.coords, emb.cfg)
+        for tree in range(fresh.gamma):
+            for d in dests:
+                if fresh.coord(tree, d) is None:
+                    continue
+                improving = routing._key_fn(g, fresh, tree, d, metric, None, None)[1]
+                for u in range(g.node_count):
+                    if fresh.coord(tree, u) is not None:
+                        expected = scan_improving(g, fresh, tree, d, metric, u, live)
+                        got = keys_and_nodes(improving(u, live))
+                        assert got == expected, f"{metric} tree {tree} u {u} d {d}"
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_neighbour_index_matches_full_scan(attacked_pairs, masked):
+    # att-rand: the attacker's children carry fabricated prefixes
+    g, emb, live, _, pairs, _, _ = attacked_pairs
+    dests = sorted({d for _, d in pairs})[:12]
+    assert_index_matches_scan(g, emb, dests, live if masked else None)
+
+
+def test_neighbour_index_matches_full_scan_on_unsorted_adjacency():
+    g, ts, emb = build(n=80, gamma=3, seed=15)
+    rng = random.Random(16)
+    shuffled = Graph([rng.sample(a, len(a)) for a in g.adjacency])
+    live = [rng.random() > 0.2 for _ in range(g.node_count)]
+    assert_index_matches_scan(shuffled, emb, list(range(0, 80, 7)), live)
+
+
+@pytest.mark.parametrize("n, typecode", [(65536, "H"), (65537, "i")])
+def test_neighbour_index_on_a_star_at_the_16_bit_limit(n, typecode):
+    # the hub has n - 1 deeper neighbours, ranked up to n - 1: past 65,536
+    # nodes neither its ranks nor its neighbour count fit in 16 bits
+    hub = n // 2
+    coords = [(v,) for v in range(n)]
+    coords[hub] = ()
+    adjacency = [[hub] for _ in range(n)]
+    adjacency[hub] = [v for v in range(n) if v != hub][::-1]
+    g = Graph(adjacency)
+    emb = Embedding([coords], CFG)
+    for metric in ("TD", "CPL"):
+        for d in (0, 1, n // 3, n - 1):
+            improving = routing._key_fn(g, emb, 0, d, metric, None, None)[1]
+            for u in (hub, d, (d + 5) % n):
+                assert keys_and_nodes(improving(u, None)) == scan_improving(g, emb, 0, d, metric, u, None)
+            assert [o[-1] for o in improving(hub, None)] == [d]
+    assert emb.ranks[0].neighbour_index(g).data.typecode == typecode
+
+
+def test_neighbour_index_belongs_to_its_graph():
+    # one embedding routed on two graphs in turn: each route sees the
+    # options of the graph it runs on, never the other's entries
+    g, ts, emb = build(n=60, gamma=1, seed=17)
+    other = generate_synthetic("er", 60, 0.1, seed=18)
+    cfg = RoutingConfig(metric="TD")
+    rng = random.Random(19)
+    for k in range(40):
+        s, d = rng.randrange(60), rng.randrange(60)
+        for h in (g, other) if k % 2 else (other, g):
+            fast = route(h, emb, s, d, 0, cfg, rng=random.Random(k))
+            slow = reference_route(h, emb, s, d, 0, cfg, None, frozenset(), None, None, random.Random(k))
+            assert fast == slow, f"pair {s}->{d}"
+            improving = routing._key_fn(h, emb, 0, d, "TD", None, None)[1]
+            for u in range(60):
+                assert keys_and_nodes(improving(u, None)) == scan_improving(h, emb, 0, d, "TD", u, None)
+
+
+class CountingLive(list):
+    """A live mask that records which nodes are read."""
+
+    def __init__(self, live):
+        super().__init__(live)
+        self.reads = []
+
+    def __getitem__(self, v):
+        self.reads.append(v)
+        return super().__getitem__(v)
+
+
+@pytest.mark.parametrize("metric", ["TD", "CPL"])
+def test_warm_visit_reads_live_only_for_candidates(attacked_pairs, metric):
+    # at a hub, liveness is read only for the neighbours that can
+    # improve: the shallower ones and those in the target's next run
+    g, emb, live, _, pairs, _, _ = attacked_pairs
+    tree = 0
+    ranks = emb.ranks[tree]
+    hub = max((v for v in range(g.node_count) if live[v] and ranks.rank[v] >= 0), key=g.degree)
+    counting = CountingLive(live)
+    skipped = 0
+    for _, d in pairs[:30]:
+        improving = routing._key_fn(g, emb, tree, d, metric, None, None)[1]
+        improving(hub, counting)  # fills the hub's entry if no route has
+        counting.reads.clear()
+        options = improving(hub, counting)
+        bounds, _ = ranks.match_table(emb.coord(tree, d))
+        n = len(bounds) // 2
+        i = bisect_right(bounds, ranks.rank[hub])
+        m = i if i <= n else 2 * n - i
+        lo, hi = (bounds[m], bounds[2 * n - 1 - m]) if m < n else (0, 0)
+        candidates = {
+            v for v in g.neighbors(hub)
+            if ranks.rank[v] >= 0 and (ranks.length[v] < ranks.length[hub] or lo <= ranks.rank[v] < hi)
+        }
+        assert set(counting.reads) <= candidates, f"destination {d}"
+        assert {o[-1] for o in options} <= candidates
+        skipped += g.degree(hub) - len(counting.reads)
+    assert skipped >= 10 * len(pairs[:30])  # most of the hub's neighbours go unread
+
+
 def test_route_keys_each_visited_node_once(attacked_pairs, monkeypatch):
     # a backtracking route revisits nodes; each distinct node is keyed
     # once per route (its own key plus at most one per eligible
@@ -501,9 +642,9 @@ def test_route_keys_each_visited_node_once(attacked_pairs, monkeypatch):
     def counting_key_fn(*args):
         keyed, improving = key_fn(*args)
 
-        def counting_improving(u, nodes, live):
+        def counting_improving(u, live):
             visits.append(u)
-            return improving(u, nodes, live)
+            return improving(u, live)
 
         return keyed, counting_improving
 
