@@ -8,8 +8,9 @@ dominant distance that avoids routes through the root.
 An embedding also keeps each tree's coordinates in lexicographic order.
 The coordinates that start with a prefix p form one contiguous run of
 that order, so a node's common prefix length with a target follows from
-its rank alone (`TreeRanks`). Each tree also indexes, node by node as
-routing first asks, the neighbours by depth and rank (`NeighbourIndex`).
+its rank alone (`TreeRanks`). Each tree also indexes its hubs'
+neighbours by depth and rank, a hub at a time as routes come back to it
+(`NeighbourIndex`).
 """
 
 from __future__ import annotations
@@ -96,17 +97,28 @@ class TreeRanks:
 class NeighbourIndex:
     """One tree's neighbour lists on one graph, split by depth and rank.
 
-    Each node's entry is filled the first time `split` asks for it. All
-    entries share one flat array, `data`; u's entry starts at
-    data[offset[u]] (offset -1: not filled yet) and reads, in order: the
-    count s of u's neighbours with a coordinate shorter than u's (the
-    shallower ones), the count r of its other neighbours with a
-    coordinate, the s positions in u's neighbour list of the shallower
-    ones, in neighbour order, and the r ranks of the others, sorted,
-    followed by their positions in the same order. Values take 16 bits
-    while the tree and the graph have at most 65,536 nodes, since every
-    rank, position and count is then below 65,536.
+    Writing a node's entry costs about two scans of its neighbours, so a
+    node is scanned until its scans have cost about as much: `split`
+    answers None the first `SCANS_BEFORE_ENTRY` times it is asked about
+    the node, and the caller scans; the next time it writes the entry. A
+    node visited at most that often costs what a scan costs, and one
+    visited more often pays for its entry once. Routes ask only about
+    nodes with at least `MIN_DEGREE` neighbours: below that a scan costs
+    less than reading an entry.
+
+    All entries share one flat array, `data`; u's entry starts at
+    data[offset[u]] (an offset -1 - k: asked k times, no entry yet) and
+    reads, in order: the count s of u's neighbours with a coordinate
+    shorter than u's (the shallower ones), the count r of its other
+    neighbours with a coordinate, the s positions in u's neighbour list
+    of the shallower ones, in neighbour order, and the r ranks of the
+    others, sorted, followed by their positions in the same order.
+    Values take 16 bits while the tree and the graph have at most 65,536
+    nodes, since every rank, position and count is then below 65,536.
     """
+
+    MIN_DEGREE = 32
+    SCANS_BEFORE_ENTRY = 3
 
     __slots__ = ("graph", "offset", "data", "_rank", "_length")
 
@@ -117,14 +129,18 @@ class NeighbourIndex:
         self.data = array("H" if max(n, g.node_count) <= 1 << 16 else "i")
         self._rank, self._length = ranks.rank, ranks.length
 
-    def split(self, u: int, lo: int, hi: int) -> tuple[array, array, array]:
+    def split(self, u: int, lo: int, hi: int) -> tuple[array, array, array] | None:
         """(shallower, ranks, positions): the positions in u's neighbour
         list of its shallower neighbours, in neighbour order, and the
         ranks in [lo, hi) of its other neighbours, sorted, beside their
-        positions. Two bisections find the ranks."""
+        positions. Two bisections find the ranks. None the first
+        `SCANS_BEFORE_ENTRY` times it is asked about u."""
         data = self.data
         o = self.offset[u]
         if o < 0:
+            if o > -1 - self.SCANS_BEFORE_ENTRY:
+                self.offset[u] = o - 1
+                return None
             o = self._fill(u)
         first = o + 2
         others = first + data[o]

@@ -26,10 +26,10 @@ closed under prefixes, so it is exact for the prefixes an att-rand
 attacker fabricates for its children, which match no real ancestor.
 
 The simulation keys each node once per route. On a node's first visit
-`route` computes its own key and keeps, stably sorted by key, the
-`(key, v)` list of its improving options: the live neighbours that have
-a coordinate in the tree and a key below the node's own, as that node
-sees them. A forward pops the chosen entry, so the list holds exactly
+`route` computes its own key and keeps the list of its improving
+options, sorted by key with ties in neighbour order: the live neighbours
+that have a coordinate in the tree and a key below the node's own, as
+that node sees them. A forward pops the chosen entry, so the list holds exactly
 the options the node has not tried yet, and backtracking into the node
 reads it instead of keying the neighbours again. A forward only ever
 takes a key below the node's own, so leaving out the other neighbours
@@ -48,20 +48,27 @@ set of tuples by the nesting above. Any other improving v is shallower
 than u: under TD, len(v) - 2m(v) < len(u) - 2m(u) with m(v) <= m(u)
 forces len(v) < len(u); under CPL the weight exceeds any length, so
 m(v) < m(u) never improves and m(v) = m(u) improves only when
-len(v) < len(u). Each tree therefore keeps a neighbour index
-(`embedding.NeighbourIndex`), filled for a node the first time a route
-decides there: its neighbours with a coordinate, split into the
-shallower ones, in neighbour order, and the others, sorted by rank. A
-visit keys the shallower ones and the slice of the others that two
+len(v) < len(u). A scan of u's neighbours thus passes over most of
+them with a rank and a length test. Each tree also keeps a neighbour
+index (`embedding.NeighbourIndex`) for its hubs, the nodes with at least
+`NeighbourIndex.MIN_DEGREE` (32) neighbours: a hub's entry lists its
+neighbours with a coordinate, split into the shallower ones, in
+neighbour order, and the others, sorted by rank. A visit that reads an
+entry keys the shallower neighbours and the slice of the others that two
 bisections find in the run, and reads no other neighbour, not even its
 liveness. Sorting the options by key and then by neighbour position
-gives the tie groups, and so the draws, of a scan of every neighbour.
-The index costs 2 bytes per shallower neighbour and 4 per other
-neighbour of every visited node, twice that past 65,536 nodes, plus
-4 bytes per node per tree for the offsets. It belongs to the `Graph`
-object it was built on; a route on another graph starts a new one.
-Addresses hide the ranks, so they key every neighbour and then drop the
-ones that do not improve.
+gives the tie groups, and so the draws, of the scan. Writing an entry
+costs about two scans, so a hub is scanned on its first
+`NeighbourIndex.SCANS_BEFORE_ENTRY` (3) visits in a tree and gets its
+entry on the next: a hub visited seldom costs what a scan costs, and one
+visited often pays for its entry once. Smaller nodes are always scanned,
+which costs less than reading an entry. The index costs 2 bytes per
+shallower neighbour and 4 per other neighbour of every hub with an
+entry, twice that past 65,536 nodes, plus 4 bytes per node per tree for
+the offsets and visit counts. It belongs to the `Graph` object it was
+built on; a route on another graph starts a new one. Addresses hide the
+ranks, so they key every neighbour and then drop the ones that do not
+improve.
 """
 
 from __future__ import annotations
@@ -79,7 +86,15 @@ from f2froute.addresses import (
     _matched_prefix,
     ppp_partial_decrypt,
 )
-from f2froute.embedding import MATCH_WEIGHT, Coordinate, Embedding, EmbeddingConfig, TreeRanks, order_key
+from f2froute.embedding import (
+    MATCH_WEIGHT,
+    Coordinate,
+    Embedding,
+    EmbeddingConfig,
+    NeighbourIndex,
+    TreeRanks,
+    order_key,
+)
 from f2froute.graph import Graph
 
 METRICS = ("TD", "CPL")
@@ -140,14 +155,16 @@ def _key_fn(g, emb, tree, dest, metric, address, keys):
     has a coordinate in the tree, in order, keyed as u sees it.
     improving(u, live): u's neighbours v whose key is below u's own, as
     tuples that start with the key and end with v, sorted by key and then
-    by neighbour order; coordinates give (key, position of v, v).
+    by neighbour order; an entry of the neighbour index gives
+    (key, position of v, v), a scan (key, v).
 
     A key is len(c) - w * m for candidate coordinate c with matched
     prefix m; smaller means closer to the target. Coordinates read m from
     the candidate's rank and key only the candidates that can improve on
-    u, which the tree's neighbour index lists; addresses key every
-    candidate through the hash cascade, whose digests are shared by every
-    evaluation through this key, so each distinct input is hashed once.
+    u, which a scan or the tree's neighbour index finds; addresses key
+    every candidate through the hash cascade, whose digests are shared by
+    every evaluation through this key, so each distinct input is hashed
+    once.
     """
     adjacency = g.adjacency
     if address is None:
@@ -157,6 +174,7 @@ def _key_fn(g, emb, tree, dest, metric, address, keys):
         ranks = emb.ranks[tree]
         rank, length = ranks.rank, ranks.length
         split = ranks.neighbour_index(g).split
+        indexed = NeighbourIndex.MIN_DEGREE
         bounds, wm = ranks.match_table(dest_coord, MATCH_WEIGHT[metric])
         n = len(dest_coord)
 
@@ -172,8 +190,18 @@ def _key_fn(g, emb, tree, dest, metric, address, keys):
             m = i if i <= n else 2 * n - i
             # ranks in [lo, hi) match more than u; the rest must be shallower
             lo, hi = (bounds[m], bounds[2 * n - 1 - m]) if m < n else (0, 0)
-            shallower, ranks_in_run, in_run = split(u, lo, hi)
             nbrs = adjacency[u]
+            parts = split(u, lo, hi) if len(nbrs) >= indexed else None
+            if parts is None:
+                lu = length[u]
+                options = [
+                    (k, v) for v in nbrs
+                    if (live is None or live[v]) and (r := rank[v]) >= 0 and (lo <= r < hi or length[v] < lu)
+                    and (k := length[v] - wm[bisect_right(bounds, r)]) < own
+                ]
+                options.sort(key=itemgetter(0))
+                return options
+            shallower, ranks_in_run, in_run = parts
             options = [
                 (k, j, v) for j in shallower for v in [nbrs[j]]
                 if (live is None or live[v]) and (k := length[v] - wm[bisect_right(bounds, rank[v])]) < own

@@ -18,7 +18,15 @@ from f2froute.addresses import (
     ppp_partial_decrypt,
 )
 from f2froute.adversary import apply_att_rand, attach_attacker, inject_failures
-from f2froute.embedding import MATCH_WEIGHT, Embedding, EmbeddingConfig, assign_coordinates, cpl, delta_td
+from f2froute.embedding import (
+    MATCH_WEIGHT,
+    Embedding,
+    EmbeddingConfig,
+    NeighbourIndex,
+    assign_coordinates,
+    cpl,
+    delta_td,
+)
 from f2froute.experiments import sample_pairs
 from f2froute.graph import Graph, generate_synthetic
 from f2froute.routing import (
@@ -516,9 +524,19 @@ def keys_and_nodes(options):
     return [(o[0], o[-1]) for o in options]
 
 
+@pytest.fixture(params=[0, NeighbourIndex.MIN_DEGREE], ids=["every-node", "hubs"])
+def min_degree(request, monkeypatch):
+    """Routes ask the neighbour index about every node, or only about the
+    nodes with at least `NeighbourIndex.MIN_DEGREE` neighbours."""
+    monkeypatch.setattr(NeighbourIndex, "MIN_DEGREE", request.param)
+    return request.param
+
+
 def assert_index_matches_scan(g, emb, dests, live):
     """Every node with a coordinate, every tree, both metrics: the first
-    destination finds each node's entry cold, the others warm."""
+    destinations scan each node, the next writes its entry, and the
+    others read it."""
+    assert len(dests) > NeighbourIndex.SCANS_BEFORE_ENTRY + 1
     for metric in ("TD", "CPL"):
         fresh = Embedding(emb.coords, emb.cfg)
         for tree in range(fresh.gamma):
@@ -534,14 +552,14 @@ def assert_index_matches_scan(g, emb, dests, live):
 
 
 @pytest.mark.parametrize("masked", [False, True])
-def test_neighbour_index_matches_full_scan(attacked_pairs, masked):
+def test_neighbour_index_matches_full_scan(attacked_pairs, masked, min_degree):
     # att-rand: the attacker's children carry fabricated prefixes
     g, emb, live, _, pairs, _, _ = attacked_pairs
     dests = sorted({d for _, d in pairs})[:12]
     assert_index_matches_scan(g, emb, dests, live if masked else None)
 
 
-def test_neighbour_index_matches_full_scan_on_unsorted_adjacency():
+def test_neighbour_index_matches_full_scan_on_unsorted_adjacency(min_degree):
     g, ts, emb = build(n=80, gamma=3, seed=15)
     rng = random.Random(16)
     shuffled = Graph([rng.sample(a, len(a)) for a in g.adjacency])
@@ -569,9 +587,10 @@ def test_neighbour_index_on_a_star_at_the_16_bit_limit(n, typecode):
     assert emb.ranks[0].neighbour_index(g).data.typecode == typecode
 
 
-def test_neighbour_index_belongs_to_its_graph():
+def test_neighbour_index_belongs_to_its_graph(monkeypatch):
     # one embedding routed on two graphs in turn: each route sees the
     # options of the graph it runs on, never the other's entries
+    monkeypatch.setattr(NeighbourIndex, "MIN_DEGREE", 0)
     g, ts, emb = build(n=60, gamma=1, seed=17)
     other = generate_synthetic("er", 60, 0.1, seed=18)
     cfg = RoutingConfig(metric="TD")
@@ -607,11 +626,13 @@ def test_warm_visit_reads_live_only_for_candidates(attacked_pairs, metric):
     tree = 0
     ranks = emb.ranks[tree]
     hub = max((v for v in range(g.node_count) if live[v] and ranks.rank[v] >= 0), key=g.degree)
+    first = routing._key_fn(g, emb, tree, pairs[0][1], metric, None, None)[1]
+    for _ in range(NeighbourIndex.SCANS_BEFORE_ENTRY):
+        first(hub, live)  # the hub's first visits scan all its neighbours
     counting = CountingLive(live)
     skipped = 0
     for _, d in pairs[:30]:
         improving = routing._key_fn(g, emb, tree, d, metric, None, None)[1]
-        improving(hub, counting)  # fills the hub's entry if no route has
         counting.reads.clear()
         options = improving(hub, counting)
         bounds, _ = ranks.match_table(emb.coord(tree, d))
@@ -627,6 +648,24 @@ def test_warm_visit_reads_live_only_for_candidates(attacked_pairs, metric):
         assert {o[-1] for o in options} <= candidates
         skipped += g.degree(hub) - len(counting.reads)
     assert skipped >= 10 * len(pairs[:30])  # most of the hub's neighbours go unread
+
+
+def test_entries_are_written_only_for_hubs_visited_often(attacked_pairs):
+    # the first visits scan, so passes that visit each node at most that
+    # often write nothing; the next visit writes an entry, for hubs only
+    g, emb, live, _, pairs, _, _ = attacked_pairs
+    fresh = Embedding(emb.coords, emb.cfg)
+    improving = routing._key_fn(g, fresh, 0, pairs[0][1], "CPL", None, None)[1]
+    nodes = [u for u in range(g.node_count) if fresh.coord(0, u) is not None]
+    index = fresh.ranks[0].neighbour_index(g)
+    for _ in range(NeighbourIndex.SCANS_BEFORE_ENTRY):
+        for u in nodes:
+            improving(u, live)
+    assert not index.data and max(index.offset) < 0
+    for u in nodes:
+        improving(u, live)
+    hubs = {u for u in nodes if g.degree(u) >= NeighbourIndex.MIN_DEGREE}
+    assert hubs and {u for u in nodes if index.offset[u] >= 0} == hubs
 
 
 def test_route_keys_each_visited_node_once(attacked_pairs, monkeypatch):
