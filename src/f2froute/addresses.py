@@ -10,17 +10,19 @@ restricts evaluators to "closer than me" checks.
 
 H is a pure function of its input, so a router can share one
 `CascadeDigests` memo across all its evaluations of an address and hash
-each distinct cascade input once per route.
+each distinct cascade input once per route (`address_keys`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from f2froute.embedding import Coordinate, Embedding, EmbeddingConfig, order_key
+from f2froute.graph import Graph
 from f2froute.trees import TreeSet
 
 NON_NEIGHBOR = "non-neighbor"
@@ -159,11 +161,7 @@ class AddressKeys:
 
     mac_key: int
     subtree_keys: dict[int, tuple[int, ...]]
-    generated: dict[int, int] = None
-
-    def __post_init__(self):
-        if self.generated is None:
-            self.generated = {}
+    generated: dict[int, int] = field(default_factory=dict)
 
     def decrypt_chain(self, tree: int) -> tuple[int, ...]:
         chain = self.subtree_keys.get(tree, ())
@@ -275,6 +273,69 @@ def _matched_prefix(vector: tuple[int, ...], c: Coordinate, seed_value: int, dig
     return m
 
 
+def address_keys(
+    g: Graph,
+    emb: Embedding,
+    tree: int,
+    address: ReturnAddress | PppAddress,
+    keys: list[AddressKeys] | None,
+    metric: str,
+):
+    """(keyed, improving) toward the issuer of address in one tree of g,
+    as `TreeRanks.keys` gives them toward a coordinate.
+
+    keyed(u, nodes, live): (key, v) for each v in nodes that is live and
+    has a coordinate in the tree, in order, keyed as u sees it.
+    improving(u, live): (key, v) for u's neighbours v whose key is below
+    u's own, sorted by key and then by neighbour order.
+
+    The cascade supplies a candidate's matched prefix to the same key as
+    a coordinate's rank (`order_key`), so both give the same options. An
+    address hides the ranks, so improving keys every neighbour and then
+    drops the ones that do not improve. The digests of the cascade inputs
+    are memoised for every evaluator of these keys: siblings share
+    coordinate prefixes, and the hash of an input does not depend on who
+    asks. An encrypted address is matched as the evaluator u decrypts it
+    with keys[u], under CPL only.
+    """
+    seed = address.routing_seed
+    digests = CascadeDigests(emb.cfg.bits_per_element)
+    if isinstance(address, ReturnAddress):
+        vec = address.digest_vector
+        key = order_key(metric, lambda u, c: _matched_prefix(vec, c, seed, digests))
+    elif metric != "CPL":
+        raise ValueError("encrypted addresses route under the CPL metric only")
+    else:
+        decrypted: dict[int, tuple[int, ...]] = {}
+
+        def ppp_match(u, c):
+            vec = decrypted.get(u)
+            if vec is None:
+                vec = decrypted[u] = ppp_partial_decrypt(address, keys[u], emb.cfg)
+            return _matched_prefix(vec, c, seed, digests)
+
+        key = order_key(metric, ppp_match)
+    coords = emb.coords[tree]
+    adjacency = g.adjacency
+
+    def keyed(u, nodes, live):
+        out = []
+        for v in nodes:
+            if live is None or live[v]:
+                c = coords[v]
+                if c is not None:
+                    out.append((key(u, c), v))
+        return out
+
+    def improving(u, live):
+        own = key(u, coords[u])
+        options = [o for o in keyed(u, adjacency[u], live) if o[0] < own]
+        options.sort(key=itemgetter(0))
+        return options
+
+    return keyed, improving
+
+
 def diversity_rp(
     addr: ReturnAddress, c: Coordinate, metric: str, cfg: EmbeddingConfig
 ) -> int | Fraction:
@@ -288,7 +349,7 @@ def diversity_rp(
     if metric == "TD":
         return big_l + len(c) - 2 * m
     if metric == "CPL":
-        return cfg.cpl_constant - m - Fraction(1, big_l + len(c) + 1)
+        return cfg.max_length - m - Fraction(1, big_l + len(c) + 1)
     raise UnsupportedMetricError(f"unknown metric {metric!r}")
 
 
@@ -342,7 +403,7 @@ def diversity_ppp(
         raise UnsupportedMetricError("the encrypted layer supports only the CPL metric")
     decrypted = ppp_partial_decrypt(addr, evaluator_keys, cfg)
     m = _matched_prefix(decrypted, c, addr.routing_seed, CascadeDigests(cfg.bits_per_element))
-    return cfg.cpl_constant - m - Fraction(1, len(decrypted) + len(c) + 1)
+    return cfg.max_length - m - Fraction(1, len(decrypted) + len(c) + 1)
 
 
 def candidate_receiver_set(

@@ -97,7 +97,6 @@ def scenario_from_args(args: argparse.Namespace) -> Scenario:
             gamma=int(args.gamma),
             accept_prob=float(args.q),
             strategy=args.strategy,
-            rng_seed=int(args.seed),
         ),
         embedding=EmbeddingConfig(),
         routing=RoutingConfig(tau=int(args.tau), metric=args.metric),

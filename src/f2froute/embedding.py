@@ -8,19 +8,20 @@ dominant distance that avoids routes through the root.
 An embedding also keeps each tree's coordinates in lexicographic order.
 The coordinates that start with a prefix p form one contiguous run of
 that order, so a node's common prefix length with a target follows from
-its rank alone (`TreeRanks`). Each tree also indexes its hubs'
-neighbours by depth and rank, a hub at a time as routes come back to it
-(`NeighbourIndex`).
+its rank alone, and so does its routing key toward the target
+(`TreeRanks.keys`). Each tree also indexes its hubs' neighbours by depth
+and rank, a hub at a time as routes come back to it.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from f2froute.graph import Graph
 from f2froute.trees import TreeSet
@@ -34,8 +35,7 @@ MATCH_WEIGHT = {"TD": 2, "CPL": 1 << 32}
 @dataclass
 class EmbeddingConfig:
     bits_per_element: int = 128
-    max_length: int = 128   # padding target for return addresses
-    cpl_constant: int = 128  # the constant L in the prefix distance
+    max_length: int = 128  # padding target for return addresses, and L in delta_cpl
 
     def __post_init__(self):
         if self.bits_per_element < 1:
@@ -45,13 +45,65 @@ class EmbeddingConfig:
 
 
 class TreeRanks:
-    """One tree's coordinates in lexicographic order.
+    """One tree's coordinates in lexicographic order, and the routing keys
+    they give toward a target.
 
     rank[v] is node v's position in `ordered`, or -1 if v has no
     coordinate; length[v] is the length of its coordinate.
+
+    A key is len(c) - w * m for a candidate coordinate c with matched
+    prefix m and the weight w of the metric (`MATCH_WEIGHT`); smaller is
+    closer to the target. The coordinates that start with a prefix p of
+    the target are one run of the lexicographic order, found by two
+    bisections once per target (`match_table`). The runs are nested, so
+    one more bisection on a candidate's rank gives its m. This holds for
+    any set of integer tuples: the run of p is [p, p[:-1] + (p[-1] + 1,))
+    in tuple order whether or not the set is closed under prefixes, so it
+    is exact for the prefixes an att-rand attacker fabricates for its
+    children, which match no real ancestor.
+
+    Only the neighbours of u that can improve on u are keyed. With m(u)
+    the matched prefix of u, a neighbour v with m(v) > m(u) is ranked
+    inside the run of the target's prefix of length m(u) + 1, which holds
+    for any set of tuples by the nesting above. Any other improving v is
+    shallower than u: under TD, len(v) - 2m(v) < len(u) - 2m(u) with
+    m(v) <= m(u) forces len(v) < len(u); under CPL the weight exceeds any
+    length, so m(v) < m(u) never improves and m(v) = m(u) improves only
+    when len(v) < len(u). A scan of u's neighbours thus passes over most
+    of them with a rank and a length test.
+
+    The tree also keeps a neighbour index on one graph for its hubs, the
+    nodes with at least `MIN_DEGREE` (32) neighbours: a hub's entry lists
+    its neighbours with a coordinate, split into the shallower ones, in
+    neighbour order, and the others, sorted by rank. A visit that reads
+    an entry keys the shallower neighbours and the slice of the others
+    that two bisections find in the run, and reads no other neighbour,
+    not even its liveness. Sorting the options by key and then by
+    neighbour position gives the tie groups, and so the draws, of the
+    scan. Writing an entry costs about two scans, so a hub is scanned on
+    its first `SCANS_BEFORE_ENTRY` (3) visits and gets its entry on the
+    next: a hub visited seldom costs what a scan costs, and one visited
+    often pays for its entry once. Smaller nodes are always scanned,
+    which costs less than reading an entry.
+
+    All entries share one flat array; u's entry starts at data[offset[u]]
+    (an offset -1 - k: visited k times, no entry yet) and reads, in
+    order: the count s of u's shallower neighbours, the count r of its
+    other neighbours with a coordinate, the s positions in u's neighbour
+    list of the shallower ones, in neighbour order, and the r ranks of
+    the others, sorted, followed by their positions in the same order.
+    Values take 16 bits while the tree and the graph have at most 65,536
+    nodes, since every rank, position and count is then below 65,536;
+    32 bits past that. Besides the entries the index costs 4 bytes per
+    node for the offsets and visit counts. It belongs to the `Graph`
+    object it was built on: keys for another graph start a new one, and
+    keys built earlier keep the arrays of their own graph.
     """
 
-    __slots__ = ("ordered", "rank", "length", "_index")
+    MIN_DEGREE = 32
+    SCANS_BEFORE_ENTRY = 3
+
+    __slots__ = ("ordered", "rank", "length", "graph", "offset", "data")
 
     def __init__(self, coords: list[Coordinate | None]):
         present = [v for v, c in enumerate(coords) if c is not None]
@@ -61,7 +113,7 @@ class TreeRanks:
         for r, v in enumerate(present):
             rank[v] = r
         self.length = array("i", [0 if c is None else len(c) for c in coords])
-        self._index = None
+        self.graph = self.offset = self.data = None
 
     def match_table(self, target: Coordinate, weight: int = 1) -> tuple[list[int], list[int]]:
         """(bounds, table): for a node v with a coordinate,
@@ -85,94 +137,97 @@ class TreeRanks:
         table = [weight * m for m in range(n + 1)]
         return los + his[::-1], table + table[-2::-1]
 
-    def neighbour_index(self, g: Graph) -> NeighbourIndex:
-        """This tree's neighbour index on g; a new, empty one when the
-        index held so far was built on another graph."""
-        index = self._index
-        if index is None or index.graph is not g:
-            index = self._index = NeighbourIndex(g, self)
-        return index
+    def keys(self, g: Graph, target: Coordinate, metric: str):
+        """(keyed, improving) toward target on g under metric.
 
+        keyed(u, nodes, live): (key, v) for each v in nodes that is live
+        and has a coordinate, in order. improving(u, live): u's neighbours
+        v whose key is below u's own, as tuples that start with the key
+        and end with v, sorted by key and then by neighbour order; an
+        index entry gives (key, position of v, v), a scan (key, v). u is
+        the evaluator, which coordinates do not depend on.
+        """
+        rank, length = self.rank, self.length
+        bounds, wm = self.match_table(target, MATCH_WEIGHT[metric])
+        n = len(target)
+        adjacency = g.adjacency
+        if self.graph is not g:
+            size = len(rank)
+            self.graph = g
+            self.offset = array("i", [-1]) * size
+            self.data = array("H" if max(size, g.node_count) <= 1 << 16 else "i")
+        offset, data = self.offset, self.data  # this graph's, even once another resets them
+        min_degree, unfilled = self.MIN_DEGREE, -1 - self.SCANS_BEFORE_ENTRY
 
-class NeighbourIndex:
-    """One tree's neighbour lists on one graph, split by depth and rank.
+        def keyed(u, nodes, live):
+            return [
+                (length[v] - wm[bisect_right(bounds, r)], v)
+                for v in nodes if (live is None or live[v]) and (r := rank[v]) >= 0
+            ]
 
-    Writing a node's entry costs about two scans of its neighbours, so a
-    node is scanned until its scans have cost about as much: `split`
-    answers None the first `SCANS_BEFORE_ENTRY` times it is asked about
-    the node, and the caller scans; the next time it writes the entry. A
-    node visited at most that often costs what a scan costs, and one
-    visited more often pays for its entry once. Routes ask only about
-    nodes with at least `MIN_DEGREE` neighbours: below that a scan costs
-    less than reading an entry.
+        def fill(u, nbrs):
+            """Write u's entry and return its offset."""
+            lu = length[u]
+            ranks = [rank[v] for v in nbrs]
+            shallower: list[int] = []
+            others: list[int] = []
+            for j, v in enumerate(nbrs):
+                if ranks[j] >= 0:
+                    if length[v] < lu:
+                        shallower.append(j)
+                    else:
+                        others.append(j)
+            others.sort(key=ranks.__getitem__)
+            o = offset[u] = len(data)
+            data.append(len(shallower))
+            data.append(len(others))
+            data.extend(shallower)
+            data.extend([ranks[j] for j in others])
+            data.extend(others)
+            return o
 
-    All entries share one flat array, `data`; u's entry starts at
-    data[offset[u]] (an offset -1 - k: asked k times, no entry yet) and
-    reads, in order: the count s of u's neighbours with a coordinate
-    shorter than u's (the shallower ones), the count r of its other
-    neighbours with a coordinate, the s positions in u's neighbour list
-    of the shallower ones, in neighbour order, and the r ranks of the
-    others, sorted, followed by their positions in the same order.
-    Values take 16 bits while the tree and the graph have at most 65,536
-    nodes, since every rank, position and count is then below 65,536.
-    """
+        def improving(u, live):
+            i = bisect_right(bounds, rank[u])
+            own = length[u] - wm[i]
+            m = i if i <= n else 2 * n - i
+            # ranks in [lo, hi) match more than u; the rest must be shallower
+            lo, hi = (bounds[m], bounds[2 * n - 1 - m]) if m < n else (0, 0)
+            nbrs = adjacency[u]
+            o = -1
+            if len(nbrs) >= min_degree:
+                o = offset[u]
+                if o <= unfilled:
+                    o = fill(u, nbrs)
+                elif o < 0:
+                    offset[u] = o - 1
+            if o < 0:
+                lu = length[u]
+                options = [
+                    (k, v) for v in nbrs
+                    if (live is None or live[v]) and (r := rank[v]) >= 0 and (lo <= r < hi or length[v] < lu)
+                    and (k := length[v] - wm[bisect_right(bounds, r)]) < own
+                ]
+                options.sort(key=itemgetter(0))
+                return options
+            first = o + 2
+            others = first + data[o]
+            end = others + data[o + 1]
+            a = bisect_left(data, lo, others, end)
+            b = bisect_left(data, hi, a, end)
+            options = [
+                (k, j, v) for j in data[first:others] for v in [nbrs[j]]
+                if (live is None or live[v]) and (k := length[v] - wm[bisect_right(bounds, rank[v])]) < own
+            ]
+            if a < b:
+                shift = end - others
+                options += [
+                    (k, j, v) for r, j in zip(data[a:b], data[a + shift:b + shift]) for v in [nbrs[j]]
+                    if (live is None or live[v]) and (k := length[v] - wm[bisect_right(bounds, r)]) < own
+                ]
+            options.sort()
+            return options
 
-    MIN_DEGREE = 32
-    SCANS_BEFORE_ENTRY = 3
-
-    __slots__ = ("graph", "offset", "data", "_rank", "_length")
-
-    def __init__(self, g: Graph, ranks: TreeRanks):
-        n = len(ranks.rank)
-        self.graph = g
-        self.offset = array("i", [-1]) * n
-        self.data = array("H" if max(n, g.node_count) <= 1 << 16 else "i")
-        self._rank, self._length = ranks.rank, ranks.length
-
-    def split(self, u: int, lo: int, hi: int) -> tuple[array, array, array] | None:
-        """(shallower, ranks, positions): the positions in u's neighbour
-        list of its shallower neighbours, in neighbour order, and the
-        ranks in [lo, hi) of its other neighbours, sorted, beside their
-        positions. Two bisections find the ranks. None the first
-        `SCANS_BEFORE_ENTRY` times it is asked about u."""
-        data = self.data
-        o = self.offset[u]
-        if o < 0:
-            if o > -1 - self.SCANS_BEFORE_ENTRY:
-                self.offset[u] = o - 1
-                return None
-            o = self._fill(u)
-        first = o + 2
-        others = first + data[o]
-        end = others + data[o + 1]
-        a = bisect_left(data, lo, others, end)
-        b = bisect_left(data, hi, a, end)
-        shift = end - others
-        return data[first:others], data[a:b], data[a + shift:b + shift]
-
-    def _fill(self, u: int) -> int:
-        """Write u's entry and return its offset."""
-        rank, length = self._rank, self._length
-        lu = length[u]
-        nbrs = self.graph.adjacency[u]
-        ranks = [rank[v] for v in nbrs]
-        shallower: list[int] = []
-        others: list[int] = []
-        for j, v in enumerate(nbrs):
-            if ranks[j] >= 0:
-                if length[v] < lu:
-                    shallower.append(j)
-                else:
-                    others.append(j)
-        others.sort(key=ranks.__getitem__)
-        data = self.data
-        o = self.offset[u] = len(data)
-        data.append(len(shallower))
-        data.append(len(others))
-        data.extend(shallower)
-        data.extend([ranks[j] for j in others])
-        data.extend(others)
-        return o
+        return keyed, improving
 
 
 class Embedding:
@@ -259,7 +314,7 @@ def delta_cpl(x1: Coordinate, x2: Coordinate, cfg: EmbeddingConfig) -> Fraction:
     total length breaks ties. Exact rational, no floating-point ties."""
     if x1 == x2:
         return Fraction(0)
-    return cfg.cpl_constant - cpl(x1, x2) - Fraction(1, len(x1) + len(x2) + 1)
+    return cfg.max_length - cpl(x1, x2) - Fraction(1, len(x1) + len(x2) + 1)
 
 
 def order_key(metric: str, match):

@@ -11,7 +11,7 @@ import math
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from f2froute.adversary import (
     AdversaryConfig,
@@ -145,12 +145,7 @@ def run_seed(master_seed: int, run_idx: int) -> int:
 def _run_once(s: Scenario, run_idx: int) -> dict[str, float]:
     seed = run_seed(s.master_seed, run_idx)
     g = resolve_graph(s.graph, seed)
-    tree_cfg = TreeConfig(
-        gamma=s.tree.gamma,
-        accept_prob=s.tree.accept_prob,
-        strategy=s.tree.strategy,
-        rng_seed=seed,
-    )
+    tree_cfg = replace(s.tree, rng_seed=seed)
     adv = s.adversary
     attacker = None
     if adv.mode == "att-rand":

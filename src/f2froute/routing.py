@@ -10,20 +10,12 @@ simple path, and the search discovers a route exactly when a path of
 responsive nodes with strictly decreasing distance exists.
 
 Every addressing mode supplies only the matched prefix m of a candidate
-with the target (from the candidate's rank, by cascading the candidate
-against a return address, or the same after partial decryption of an
-encrypted one) to the one key per metric, len(c) - w * m with the
-weight `embedding.MATCH_WEIGHT`. Route preservation thus holds by
+with the target to the one key per metric, len(c) - w * m with the
+weight `embedding.MATCH_WEIGHT`: coordinates find m from the candidate's
+rank (`TreeRanks.keys`), return addresses by cascading the candidate
+against the address, and encrypted addresses the same after partial
+decryption (`addresses.address_keys`). Route preservation thus holds by
 construction, for the choice of trees as well as every hop.
-
-Coordinates find m without a prefix walk. For each prefix p of the
-target's coordinate, the coordinates that start with p are one run of
-the tree's lexicographic order, found by two bisections once per route.
-The runs are nested, so one more bisection on the candidate's rank gives
-its m. This holds for any set of integer tuples: the run of p is
-[p, p[:-1] + (p[-1] + 1,)) in tuple order whether or not the set is
-closed under prefixes, so it is exact for the prefixes an att-rand
-attacker fabricates for its children, which match no real ancestor.
 
 The simulation keys each node once per route. On a node's first visit
 `route` computes its own key and keeps the list of its improving
@@ -36,65 +28,16 @@ takes a key below the node's own, so leaving out the other neighbours
 changes no hop; the front tie group keeps neighbour order, so `rng`
 draws the same next hops as a search that keys every neighbour on every
 visit. Each list belongs to its evaluator, which keeps it exact for
-encrypted addresses, whose match depends on the node that decrypts. The
-digests of an address's cascade inputs are memoised per route for every
-evaluator: siblings share coordinate prefixes, and the hash of an input
-does not depend on who asks.
-
-Coordinates key only the neighbours that can improve on u. With m(u)
-the matched prefix of u, a neighbour v with m(v) > m(u) is ranked inside
-the run of the target's prefix of length m(u) + 1, which holds for any
-set of tuples by the nesting above. Any other improving v is shallower
-than u: under TD, len(v) - 2m(v) < len(u) - 2m(u) with m(v) <= m(u)
-forces len(v) < len(u); under CPL the weight exceeds any length, so
-m(v) < m(u) never improves and m(v) = m(u) improves only when
-len(v) < len(u). A scan of u's neighbours thus passes over most of
-them with a rank and a length test. Each tree also keeps a neighbour
-index (`embedding.NeighbourIndex`) for its hubs, the nodes with at least
-`NeighbourIndex.MIN_DEGREE` (32) neighbours: a hub's entry lists its
-neighbours with a coordinate, split into the shallower ones, in
-neighbour order, and the others, sorted by rank. A visit that reads an
-entry keys the shallower neighbours and the slice of the others that two
-bisections find in the run, and reads no other neighbour, not even its
-liveness. Sorting the options by key and then by neighbour position
-gives the tie groups, and so the draws, of the scan. Writing an entry
-costs about two scans, so a hub is scanned on its first
-`NeighbourIndex.SCANS_BEFORE_ENTRY` (3) visits in a tree and gets its
-entry on the next: a hub visited seldom costs what a scan costs, and one
-visited often pays for its entry once. Smaller nodes are always scanned,
-which costs less than reading an entry. The index costs 2 bytes per
-shallower neighbour and 4 per other neighbour of every hub with an
-entry, twice that past 65,536 nodes, plus 4 bytes per node per tree for
-the offsets and visit counts. It belongs to the `Graph` object it was
-built on; a route on another graph starts a new one. Addresses hide the
-ranks, so they key every neighbour and then drop the ones that do not
-improve.
+encrypted addresses, whose match depends on the node that decrypts.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 
-from f2froute.addresses import (
-    AddressKeys,
-    CascadeDigests,
-    PppAddress,
-    ReturnAddress,
-    _matched_prefix,
-    ppp_partial_decrypt,
-)
-from f2froute.embedding import (
-    MATCH_WEIGHT,
-    Coordinate,
-    Embedding,
-    EmbeddingConfig,
-    NeighbourIndex,
-    TreeRanks,
-    order_key,
-)
+from f2froute.addresses import AddressKeys, PppAddress, ReturnAddress, address_keys
+from f2froute.embedding import Coordinate, Embedding, EmbeddingConfig, TreeRanks
 from f2froute.graph import Graph
 
 METRICS = ("TD", "CPL")
@@ -149,107 +92,14 @@ class MultiRouteOutcome:
 
 
 def _key_fn(g, emb, tree, dest, metric, address, keys):
-    """(keyed, improving) toward dest in one tree of g.
-
-    keyed(u, nodes, live): (key, v) for each v in nodes that is live and
-    has a coordinate in the tree, in order, keyed as u sees it.
-    improving(u, live): u's neighbours v whose key is below u's own, as
-    tuples that start with the key and end with v, sorted by key and then
-    by neighbour order; an entry of the neighbour index gives
-    (key, position of v, v), a scan (key, v).
-
-    A key is len(c) - w * m for candidate coordinate c with matched
-    prefix m; smaller means closer to the target. Coordinates read m from
-    the candidate's rank and key only the candidates that can improve on
-    u, which a scan or the tree's neighbour index finds; addresses key
-    every candidate through the hash cascade, whose digests are shared by
-    every evaluation through this key, so each distinct input is hashed
-    once.
-    """
-    adjacency = g.adjacency
-    if address is None:
-        dest_coord = emb.coord(tree, dest)
-        if dest_coord is None:
-            raise ValueError(f"destination {dest} has no coordinate in tree {tree}")
-        ranks = emb.ranks[tree]
-        rank, length = ranks.rank, ranks.length
-        split = ranks.neighbour_index(g).split
-        indexed = NeighbourIndex.MIN_DEGREE
-        bounds, wm = ranks.match_table(dest_coord, MATCH_WEIGHT[metric])
-        n = len(dest_coord)
-
-        def keyed(u, nodes, live):
-            return [
-                (length[v] - wm[bisect_right(bounds, r)], v)
-                for v in nodes if (live is None or live[v]) and (r := rank[v]) >= 0
-            ]
-
-        def improving(u, live):
-            i = bisect_right(bounds, rank[u])
-            own = length[u] - wm[i]
-            m = i if i <= n else 2 * n - i
-            # ranks in [lo, hi) match more than u; the rest must be shallower
-            lo, hi = (bounds[m], bounds[2 * n - 1 - m]) if m < n else (0, 0)
-            nbrs = adjacency[u]
-            parts = split(u, lo, hi) if len(nbrs) >= indexed else None
-            if parts is None:
-                lu = length[u]
-                options = [
-                    (k, v) for v in nbrs
-                    if (live is None or live[v]) and (r := rank[v]) >= 0 and (lo <= r < hi or length[v] < lu)
-                    and (k := length[v] - wm[bisect_right(bounds, r)]) < own
-                ]
-                options.sort(key=itemgetter(0))
-                return options
-            shallower, ranks_in_run, in_run = parts
-            options = [
-                (k, j, v) for j in shallower for v in [nbrs[j]]
-                if (live is None or live[v]) and (k := length[v] - wm[bisect_right(bounds, rank[v])]) < own
-            ]
-            if in_run:
-                options += [
-                    (k, j, v) for r, j in zip(ranks_in_run, in_run) for v in [nbrs[j]]
-                    if (live is None or live[v]) and (k := length[v] - wm[bisect_right(bounds, r)]) < own
-                ]
-            options.sort()
-            return options
-
-        return keyed, improving
-    seed = address.routing_seed
-    digests = CascadeDigests(emb.cfg.bits_per_element)
-    if isinstance(address, ReturnAddress):
-        vec = address.digest_vector
-        key = order_key(metric, lambda u, c: _matched_prefix(vec, c, seed, digests))
-    elif metric != "CPL":
-        raise ValueError("encrypted addresses route under the CPL metric only")
-    else:
-        decrypted: dict[int, tuple[int, ...]] = {}
-
-        def ppp_match(u, c):
-            vec = decrypted.get(u)
-            if vec is None:
-                vec = decrypted[u] = ppp_partial_decrypt(address, keys[u], emb.cfg)
-            return _matched_prefix(vec, c, seed, digests)
-
-        key = order_key(metric, ppp_match)
-    coords = emb.coords[tree]
-
-    def keyed(u, nodes, live):
-        out = []
-        for v in nodes:
-            if live is None or live[v]:
-                c = coords[v]
-                if c is not None:
-                    out.append((key(u, c), v))
-        return out
-
-    def improving(u, live):
-        own = key(u, coords[u])
-        options = [o for o in keyed(u, adjacency[u], live) if o[0] < own]
-        options.sort(key=itemgetter(0))
-        return options
-
-    return keyed, improving
+    """(keyed, improving) toward dest in one tree of g: on the address
+    when one is given, else on dest's coordinate."""
+    if address is not None:
+        return address_keys(g, emb, tree, address, keys, metric)
+    dest_coord = emb.coord(tree, dest)
+    if dest_coord is None:
+        raise ValueError(f"destination {dest} has no coordinate in tree {tree}")
+    return emb.ranks[tree].keys(g, dest_coord, metric)
 
 
 def route(
@@ -428,9 +278,8 @@ def greedy_path_exists(
         return False
     if src == dest:
         return True
-    ranks = TreeRanks(coords)
-    bounds, wm = ranks.match_table(dest_coord, MATCH_WEIGHT[metric])
-    key = [length - wm[bisect_right(bounds, r)] for r, length in zip(ranks.rank, ranks.length)]
+    keyed = TreeRanks(coords).keys(g, dest_coord, metric)[0]
+    key = {v: k for k, v in keyed(src, range(g.node_count), live)}
 
     # edges only go from larger to strictly smaller key: plain DFS suffices
     seen = {src}
@@ -439,9 +288,7 @@ def greedy_path_exists(
         u = stack.pop()
         ku = key[u]
         for v in g.neighbors(u):
-            if v in seen or coords[v] is None:
-                continue
-            if live is not None and not live[v]:
+            if v in seen or v not in key:
                 continue
             if key[v] < ku:
                 if v == dest:

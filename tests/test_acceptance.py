@@ -40,7 +40,7 @@ from f2froute.overlay import DhtConfig, build_overlay, dht_lookup, xor_distance
 from f2froute.routing import RoutingConfig, greedy_path_exists, route
 from f2froute.trees import TreeConfig, construct_trees
 
-CFG = EmbeddingConfig(bits_per_element=16, max_length=32, cpl_constant=32)
+CFG = EmbeddingConfig(bits_per_element=16, max_length=32)
 
 
 def tree_embedding(n, seed, gamma=1, model="er", param=0.1):
@@ -229,7 +229,7 @@ def test_criterion_6_crypto_properties():
         a = address_for_node(emb, ts, issuer, 0, akeys[issuer], rng.getrandbits(32), rng.getrandbits(32))
         p = add_ppp_layer(a, akeys[issuer], CFG)
         d = diversity_ppp(p, emb.coord(0, v), akeys[u], CFG)
-        implied = int(CFG.cpl_constant - d)
+        implied = int(CFG.max_length - d)
         if implied > cpl(emb.coord(0, v), emb.coord(0, issuer)):
             lb_violations += 1
     assert lb_violations == 0

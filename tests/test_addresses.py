@@ -29,7 +29,7 @@ from f2froute.embedding import EmbeddingConfig, assign_coordinates, cpl, delta_c
 from f2froute.graph import Graph
 from f2froute.trees import TreeSet
 
-CFG = EmbeddingConfig(bits_per_element=16, max_length=8, cpl_constant=8)
+CFG = EmbeddingConfig(bits_per_element=16, max_length=8)
 BITS = CFG.bits_per_element
 
 #      0
@@ -104,7 +104,7 @@ def test_generate_rp_shape_and_default_length():
 def test_generate_rp_padding_redraw():
     # 2-bit elements make collisions easy to force: block every first
     # padding value the initial seed would produce
-    tiny = EmbeddingConfig(bits_per_element=2, max_length=4, cpl_constant=4)
+    tiny = EmbeddingConfig(bits_per_element=2, max_length=4)
     keys = AddressKeys(mac_key=5, subtree_keys={})
     s_pad = 7
     first = ref_padding(s_pad, 3, 2)[0]  # coordinate length 1: three padding elements
@@ -123,7 +123,7 @@ def test_generate_rp_padding_redraw():
 
 def test_generate_rp_hash_budget(monkeypatch):
     # one padding stream, the routing seed, L cascade digests and the MAC
-    cfg = EmbeddingConfig(bits_per_element=128, max_length=128, cpl_constant=128)
+    cfg = EmbeddingConfig(bits_per_element=128, max_length=128)
     keys = AddressKeys(mac_key=5, subtree_keys={})
     x = (4, 9, 2)
     blocked = ref_padding(20, cfg.max_length - len(x), 128)[0]
@@ -267,7 +267,7 @@ def test_diversity_ppp_lower_bound_and_cases():
         for v in range(8):
             c = emb.coord(0, v)
             d = diversity_ppp(p5, c, keys[u], CFG)
-            implied = CFG.cpl_constant - d  # strip the length tiebreak fraction
+            implied = CFG.max_length - d  # strip the length tiebreak fraction
             implied_cpl = int(implied) if implied >= 0 else -1
             true_cpl = min(cpl(c, x5), CFG.max_length)
             assert implied_cpl <= true_cpl
@@ -283,7 +283,7 @@ def test_diversity_ppp_lower_bound_and_cases():
     assert d_deeper < d_self
     # disjoint subtree: first element mismatches, implied cpl 0
     d_disjoint = diversity_ppp(p5, emb.coord(0, 7), keys[2], CFG)
-    assert int(CFG.cpl_constant - d_disjoint) == 0
+    assert int(CFG.max_length - d_disjoint) == 0
     with pytest.raises(UnsupportedMetricError):
         diversity_ppp(p5, x5, keys[3], CFG, metric="TD")
 
@@ -326,7 +326,7 @@ def test_serialization_roundtrip_and_errors():
     assert ReturnAddress.from_bytes(blob, CFG) == addr
     with pytest.raises(ValueError):
         ReturnAddress.from_bytes(blob[:-1], CFG)
-    odd = EmbeddingConfig(bits_per_element=3, max_length=4, cpl_constant=4)
+    odd = EmbeddingConfig(bits_per_element=3, max_length=4)
     with pytest.raises(ValueError):
         make_addr((1,), keys).to_bytes(odd)
 
@@ -413,7 +413,7 @@ def test_cascade_and_matcher_match_reference(elements, seed_value, bits):
     st.data(),
 )
 def test_generate_rp_matches_reference(bits, big_l, data):
-    cfg = EmbeddingConfig(bits_per_element=bits, max_length=big_l, cpl_constant=big_l)
+    cfg = EmbeddingConfig(bits_per_element=bits, max_length=big_l)
     x = tuple(data.draw(st.lists(st.integers(0, 2**bits - 1), max_size=big_l), label="x"))
     mac_key, s, s_pad = (data.draw(WIDE, label=name) for name in ("mac_key", "s", "s_pad"))
     # block the first padding draw now and then to force a redraw

@@ -17,7 +17,7 @@ from f2froute.graph import Graph, generate_synthetic
 from f2froute.routing import RoutingConfig, route
 from f2froute.trees import TreeConfig
 
-CFG = EmbeddingConfig(bits_per_element=16, max_length=32, cpl_constant=32)
+CFG = EmbeddingConfig(bits_per_element=16, max_length=32)
 
 
 def test_config_validation():

@@ -1,6 +1,8 @@
 """The runtime needs only the standard library: networkx and scipy are
-references for differential tests, never imported by f2froute itself."""
+references for differential tests, never imported by f2froute itself.
+Its modules share only public names: none imports another's private one."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -31,3 +33,14 @@ def test_runtime_imports_neither_networkx_nor_scipy():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.split() == []
+
+
+def test_modules_import_no_private_names_from_each_other():
+    # a name with a leading underscore belongs to its own module
+    package = Path(f2froute.__file__).resolve().parent
+    crossings = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("f2froute")):
+                crossings += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert crossings == []

@@ -18,7 +18,7 @@ from f2froute.embedding import (
 from f2froute.graph import Graph, generate_synthetic
 from f2froute.trees import TreeConfig, construct_trees
 
-CFG = EmbeddingConfig(bits_per_element=16, max_length=32, cpl_constant=32)
+CFG = EmbeddingConfig(bits_per_element=16, max_length=32)
 
 coords = st.lists(st.integers(min_value=0, max_value=7), max_size=6).map(tuple)
 
@@ -63,7 +63,7 @@ def test_assignment_deterministic():
 def test_sibling_exhaustion_raises():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     ts = construct_trees(g, TreeConfig(rng_seed=0), [0])
-    tiny = EmbeddingConfig(bits_per_element=1, max_length=8, cpl_constant=8)
+    tiny = EmbeddingConfig(bits_per_element=1, max_length=8)
     with pytest.raises(ValueError, match="siblings"):
         assign_coordinates(ts, tiny, 0)
 
@@ -157,7 +157,7 @@ def test_rank_matched_prefix_equals_cpl_under_att_rand():
     # the attacker's children carry fabricated prefixes that no node
     # holds; 8-bit elements let them share leading elements with real ones
     g, attacker = attach_attacker(generate_synthetic("pa", 120, 2, seed=3), 6, 4)
-    cfg = EmbeddingConfig(bits_per_element=8, max_length=32, cpl_constant=32)
+    cfg = EmbeddingConfig(bits_per_element=8, max_length=32)
     _, emb, _ = apply_att_rand(g, attacker, TreeConfig(gamma=3, rng_seed=5), cfg, 6)
     fabricated = 0
     for tree in emb.coords:

@@ -18,7 +18,7 @@ from f2froute.overlay import (
 from f2froute.routing import RoutingConfig
 from f2froute.trees import TreeConfig, construct_trees
 
-CFG = EmbeddingConfig(bits_per_element=16, max_length=32, cpl_constant=32)
+CFG = EmbeddingConfig(bits_per_element=16, max_length=32)
 
 
 def id_cpl(a, b):

@@ -33,7 +33,7 @@ pytestmark = pytest.mark.skipif(
     reason="set F2F_FACEBOOK_EDGELIST to the facebook-wosn-links edge list to run",
 )
 
-CFG = EmbeddingConfig(bits_per_element=128, max_length=128, cpl_constant=128)
+CFG = EmbeddingConfig(bits_per_element=128, max_length=128)
 
 _cache = {}
 

@@ -6,13 +6,14 @@ from operator import itemgetter
 
 import pytest
 
-from f2froute import routing
+from f2froute import embedding, routing
 from f2froute.addresses import (
     CascadeDigests,
     ReturnAddress,
     _matched_prefix,
     add_ppp_layer,
     address_for_node,
+    address_keys,
     distribute_subtree_keys,
     generate_address_keys,
     ppp_partial_decrypt,
@@ -22,7 +23,7 @@ from f2froute.embedding import (
     MATCH_WEIGHT,
     Embedding,
     EmbeddingConfig,
-    NeighbourIndex,
+    TreeRanks,
     assign_coordinates,
     cpl,
     delta_td,
@@ -43,7 +44,7 @@ from f2froute.routing import (
 )
 from f2froute.trees import TreeConfig, construct_trees
 
-CFG = EmbeddingConfig(bits_per_element=16, max_length=32, cpl_constant=32)
+CFG = EmbeddingConfig(bits_per_element=16, max_length=32)
 
 
 def build(n=60, gamma=1, seed=1, p=0.1):
@@ -524,11 +525,11 @@ def keys_and_nodes(options):
     return [(o[0], o[-1]) for o in options]
 
 
-@pytest.fixture(params=[0, NeighbourIndex.MIN_DEGREE], ids=["every-node", "hubs"])
+@pytest.fixture(params=[0, TreeRanks.MIN_DEGREE], ids=["every-node", "hubs"])
 def min_degree(request, monkeypatch):
     """Routes ask the neighbour index about every node, or only about the
-    nodes with at least `NeighbourIndex.MIN_DEGREE` neighbours."""
-    monkeypatch.setattr(NeighbourIndex, "MIN_DEGREE", request.param)
+    nodes with at least `TreeRanks.MIN_DEGREE` neighbours."""
+    monkeypatch.setattr(TreeRanks, "MIN_DEGREE", request.param)
     return request.param
 
 
@@ -536,7 +537,7 @@ def assert_index_matches_scan(g, emb, dests, live):
     """Every node with a coordinate, every tree, both metrics: the first
     destinations scan each node, the next writes its entry, and the
     others read it."""
-    assert len(dests) > NeighbourIndex.SCANS_BEFORE_ENTRY + 1
+    assert len(dests) > TreeRanks.SCANS_BEFORE_ENTRY + 1
     for metric in ("TD", "CPL"):
         fresh = Embedding(emb.coords, emb.cfg)
         for tree in range(fresh.gamma):
@@ -584,13 +585,13 @@ def test_neighbour_index_on_a_star_at_the_16_bit_limit(n, typecode):
             for u in (hub, d, (d + 5) % n):
                 assert keys_and_nodes(improving(u, None)) == scan_improving(g, emb, 0, d, metric, u, None)
             assert [o[-1] for o in improving(hub, None)] == [d]
-    assert emb.ranks[0].neighbour_index(g).data.typecode == typecode
+    assert emb.ranks[0].data.typecode == typecode
 
 
 def test_neighbour_index_belongs_to_its_graph(monkeypatch):
     # one embedding routed on two graphs in turn: each route sees the
     # options of the graph it runs on, never the other's entries
-    monkeypatch.setattr(NeighbourIndex, "MIN_DEGREE", 0)
+    monkeypatch.setattr(TreeRanks, "MIN_DEGREE", 0)
     g, ts, emb = build(n=60, gamma=1, seed=17)
     other = generate_synthetic("er", 60, 0.1, seed=18)
     cfg = RoutingConfig(metric="TD")
@@ -604,6 +605,50 @@ def test_neighbour_index_belongs_to_its_graph(monkeypatch):
             improving = routing._key_fn(h, emb, 0, d, "TD", None, None)[1]
             for u in range(60):
                 assert keys_and_nodes(improving(u, None)) == scan_improving(h, emb, 0, d, "TD", u, None)
+
+
+def test_keys_for_two_graphs_interleave(monkeypatch):
+    # keys held for two graphs at once on one embedding: each writes its
+    # entries into its own graph's index, although the keys built last
+    # gave the tree's index to the other graph
+    monkeypatch.setattr(TreeRanks, "MIN_DEGREE", 0)
+    g, ts, emb = build(n=60, gamma=1, seed=17)
+    h = generate_synthetic("er", 60, 0.1, seed=18)
+    nodes = [u for u in range(60) if emb.coord(0, u) is not None]
+    for metric in ("TD", "CPL"):
+        for d in nodes[:3]:
+            fresh = Embedding(emb.coords, emb.cfg)
+            held = [(graph, fresh.ranks[0].keys(graph, fresh.coord(0, d), metric)[1]) for graph in (g, h)]
+            for visit in range(TreeRanks.SCANS_BEFORE_ENTRY + 2):
+                for u in nodes:
+                    for graph, improving in held:
+                        expected = scan_improving(graph, fresh, 0, d, metric, u, None)
+                        assert keys_and_nodes(improving(u, None)) == expected, f"{metric} d {d} u {u} visit {visit}"
+
+
+@pytest.mark.parametrize("bits", [16, 128])
+def test_address_and_coordinate_keys_agree_at_every_node(bits):
+    # the contract of the two key providers: at every node with a
+    # coordinate, a return address gives the improving options, keys and
+    # order that its issuer's coordinate gives
+    g, attacker = attach_attacker(generate_synthetic("pa", 300, 3, seed=21), 8, 22)
+    cfg = EmbeddingConfig(bits_per_element=bits)
+    ts, emb, mask = apply_att_rand(g, attacker, TreeConfig(gamma=5, rng_seed=23), cfg, 24)
+    failed = inject_failures(g, 0.1, 25)
+    live = [a and b for a, b in zip(mask.live, failed.live)]
+    keys = generate_address_keys(g.node_count, 26, bits)
+    rng = random.Random(27)
+    for tree in range(emb.gamma):
+        nodes = [u for u in range(g.node_count) if emb.coord(tree, u) is not None]
+        fabricated = ts.children[tree][attacker][:1]  # a destination with a fabricated prefix
+        for k, d in enumerate(fabricated + rng.sample(nodes, 3)):
+            address = address_for_node(emb, ts, d, tree, keys[d], 100 * k + tree, 200 * k + tree)
+            for metric in ("TD", "CPL"):
+                by_rank = emb.ranks[tree].keys(g, emb.coord(tree, d), metric)[1]
+                by_address = address_keys(g, emb, tree, address, keys, metric)[1]
+                for u in nodes:
+                    expected = keys_and_nodes(by_rank(u, live))
+                    assert by_address(u, live) == expected, f"{metric} tree {tree} u {u} d {d}"
 
 
 class CountingLive(list):
@@ -627,7 +672,7 @@ def test_warm_visit_reads_live_only_for_candidates(attacked_pairs, metric):
     ranks = emb.ranks[tree]
     hub = max((v for v in range(g.node_count) if live[v] and ranks.rank[v] >= 0), key=g.degree)
     first = routing._key_fn(g, emb, tree, pairs[0][1], metric, None, None)[1]
-    for _ in range(NeighbourIndex.SCANS_BEFORE_ENTRY):
+    for _ in range(TreeRanks.SCANS_BEFORE_ENTRY):
         first(hub, live)  # the hub's first visits scan all its neighbours
     counting = CountingLive(live)
     skipped = 0
@@ -657,14 +702,14 @@ def test_entries_are_written_only_for_hubs_visited_often(attacked_pairs):
     fresh = Embedding(emb.coords, emb.cfg)
     improving = routing._key_fn(g, fresh, 0, pairs[0][1], "CPL", None, None)[1]
     nodes = [u for u in range(g.node_count) if fresh.coord(0, u) is not None]
-    index = fresh.ranks[0].neighbour_index(g)
-    for _ in range(NeighbourIndex.SCANS_BEFORE_ENTRY):
+    index = fresh.ranks[0]
+    for _ in range(TreeRanks.SCANS_BEFORE_ENTRY):
         for u in nodes:
             improving(u, live)
     assert not index.data and max(index.offset) < 0
     for u in nodes:
         improving(u, live)
-    hubs = {u for u in nodes if g.degree(u) >= NeighbourIndex.MIN_DEGREE}
+    hubs = {u for u in nodes if g.degree(u) >= TreeRanks.MIN_DEGREE}
     assert hubs and {u for u in nodes if index.offset[u] >= 0} == hubs
 
 
@@ -676,7 +721,7 @@ def test_route_keys_each_visited_node_once(attacked_pairs, monkeypatch):
     visits = []
     keyings = 0
     key_fn = routing._key_fn
-    bisect = routing.bisect_right
+    bisect = embedding.bisect_right
 
     def counting_key_fn(*args):
         keyed, improving = key_fn(*args)
@@ -693,7 +738,7 @@ def test_route_keys_each_visited_node_once(attacked_pairs, monkeypatch):
         return bisect(*args)
 
     monkeypatch.setattr(routing, "_key_fn", counting_key_fn)
-    monkeypatch.setattr(routing, "bisect_right", counting_bisect)
+    monkeypatch.setattr(embedding, "bisect_right", counting_bisect)
     heavy = 0
     for k, (s, d) in enumerate(pairs):
         tree = k % emb.gamma

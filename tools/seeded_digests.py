@@ -126,7 +126,7 @@ def address_digests(emb, keys, pairs, rp, ppp) -> None:
         issued = [addrs[t] for addrs in ppp]
         print(f"address.ppp.tree{t}", digest([(a.encrypted_vector, a.routing_seed, a.mac_tag) for a in issued]))
     # 13-bit elements: the digest mask cuts inside a byte
-    narrow = EmbeddingConfig(bits_per_element=13, max_length=24, cpl_constant=24)
+    narrow = EmbeddingConfig(bits_per_element=13, max_length=24)
     issued = [
         generate_rp(emb.coord(k % emb.gamma, d), keys[d], set(), 300 * k, 400 * k, narrow)
         for k, (_, d) in enumerate(pairs)
