@@ -41,13 +41,8 @@ def _word(value: int) -> bytes:
     return (value & _WORD_MASK).to_bytes(32, "little")
 
 
-def _digest(data: bytes, bits: int) -> int:
-    """The first `bits` bits of shake_256(data), read little-endian."""
-    return int.from_bytes(hashlib.shake_256(data).digest((bits + 7) // 8), "little") & ((1 << bits) - 1)
-
-
 def _hasher(prefix: bytes, bits: int):
-    """value -> _digest(prefix + _word(value), bits), with the digest width
+    """value -> _shake(prefix, value, bits=bits), with the digest width
     and the mask computed once for every value it hashes."""
     nbytes = (bits + 7) // 8
     mask = (1 << bits) - 1
@@ -62,12 +57,15 @@ def _hasher(prefix: bytes, bits: int):
 
 
 def _shake(tag: bytes, *values: int, bits: int) -> int:
-    return _digest(tag + b"".join(map(_word, values)), bits)
+    """The first `bits` bits of shake_256(tag + the _word of each value),
+    read little-endian."""
+    data = tag + b"".join([(v & _WORD_MASK).to_bytes(32, "little") for v in values])
+    return int.from_bytes(hashlib.shake_256(data).digest((bits + 7) // 8), "little") & ((1 << bits) - 1)
 
 
 def prng_value(key: int, counter: int, bits: int) -> int:
     """Keyed pseudo-random generator evaluated at a counter position."""
-    return _digest(b"prng" + _word(key) + _word(counter), bits)
+    return _shake(b"prng", key, counter, bits=bits)
 
 
 class CascadeDigests(dict):
@@ -170,9 +168,7 @@ class AddressKeys:
 
 
 def _mac(key: int, vector: tuple[int, ...], bits: int) -> int:
-    # _shake(b"mac", key, *vector) with each _word encoded inline
-    words = [(v & _WORD_MASK).to_bytes(32, "little") for v in vector]
-    return _digest(b"mac" + (key & _WORD_MASK).to_bytes(32, "little") + b"".join(words), bits)
+    return _shake(b"mac", key, *vector, bits=bits)
 
 
 def generate_address_keys(n: int, seed: int, bits: int) -> list[AddressKeys]:

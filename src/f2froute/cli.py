@@ -25,7 +25,7 @@ from f2froute.experiments import (
     run_seed,
     write_csv,
 )
-from f2froute.graph import GraphFormatError, GenerationError, graph_stats
+from f2froute.graph import GenerationError, graph_stats
 from f2froute.overlay import DhtConfig
 from f2froute.routing import METRICS, RoutingConfig
 from f2froute.trees import STRATEGIES, ConstructionError, JoinError, TreeConfig
@@ -35,6 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="f2froute",
         description="Greedy routing experiments over tree-embedded friend-to-friend overlays.",
+        exit_on_error=False,  # a value that fails to convert raises ArgumentError, reported by main
     )
     p.add_argument("--config", help="key=value file providing defaults for any flag")
     p.add_argument("--graph", default="pa:5000:5",
@@ -140,7 +141,7 @@ def main(argv=None) -> int:
             print(f"graph stats written to {args.graph_stats}", file=sys.stderr)
         rows = run_scenario(scenario, workers=workers)
         write_csv(rows, args.out)
-    except (ValueError, GraphFormatError, GenerationError, ConstructionError, JoinError, OSError) as exc:
+    except (ValueError, argparse.ArgumentError, GenerationError, ConstructionError, JoinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(rows)} metric rows to {args.out}", file=sys.stderr)

@@ -72,38 +72,29 @@ class TreeRanks:
     when len(v) < len(u). A scan of u's neighbours thus passes over most
     of them with a rank and a length test.
 
-    The tree also keeps a neighbour index on one graph for its hubs, the
-    nodes with at least `MIN_DEGREE` (32) neighbours: a hub's entry lists
-    its neighbours with a coordinate, split into the shallower ones, in
-    neighbour order, and the others, sorted by rank. A visit that reads
-    an entry keys the shallower neighbours and the slice of the others
-    that two bisections find in the run, and reads no other neighbour,
-    not even its liveness. Sorting the options by key and then by
-    neighbour position gives the tie groups, and so the draws, of the
+    The tree also keeps a neighbour index for its hubs, the nodes with
+    at least `MIN_DEGREE` (32) neighbours. entries[u] is the number of
+    times hub u was scanned so far, and then u's entry: its neighbour
+    list, the positions in it of the neighbours shallower than u, in
+    neighbour order, and the ranks of its other neighbours with a
+    coordinate, sorted, with their positions in the same order. A visit
+    that reads an entry keys the shallower neighbours and the slice of
+    the others that two bisections find in the run, and reads no other
+    neighbour, not even its liveness. Sorting the options by key and then
+    by neighbour position gives the tie groups, and so the draws, of the
     scan. Writing an entry costs about two scans, so a hub is scanned on
     its first `SCANS_BEFORE_ENTRY` (3) visits and gets its entry on the
     next: a hub visited seldom costs what a scan costs, and one visited
     often pays for its entry once. Smaller nodes are always scanned,
-    which costs less than reading an entry.
-
-    All entries share one flat array; u's entry starts at data[offset[u]]
-    (an offset -1 - k: visited k times, no entry yet) and reads, in
-    order: the count s of u's shallower neighbours, the count r of its
-    other neighbours with a coordinate, the s positions in u's neighbour
-    list of the shallower ones, in neighbour order, and the r ranks of
-    the others, sorted, followed by their positions in the same order.
-    Values take 16 bits while the tree and the graph have at most 65,536
-    nodes, since every rank, position and count is then below 65,536;
-    32 bits past that. Besides the entries the index costs 4 bytes per
-    node for the offsets and visit counts. It belongs to the `Graph`
-    object it was built on: keys for another graph start a new one, and
-    keys built earlier keep the arrays of their own graph.
+    which costs less than reading an entry. An entry is read only while
+    its neighbour list is the one the graph being routed holds for u;
+    keys on another graph write the entry again for that graph.
     """
 
     MIN_DEGREE = 32
     SCANS_BEFORE_ENTRY = 3
 
-    __slots__ = ("ordered", "rank", "length", "graph", "offset", "data")
+    __slots__ = ("ordered", "rank", "length", "entries")
 
     def __init__(self, coords: list[Coordinate | None]):
         present = [v for v, c in enumerate(coords) if c is not None]
@@ -113,7 +104,7 @@ class TreeRanks:
         for r, v in enumerate(present):
             rank[v] = r
         self.length = array("i", [0 if c is None else len(c) for c in coords])
-        self.graph = self.offset = self.data = None
+        self.entries: dict[int, int | tuple[list[int], list[int], array, array]] = {}
 
     def match_table(self, target: Coordinate, weight: int = 1) -> tuple[list[int], list[int]]:
         """(bounds, table): for a node v with a coordinate,
@@ -151,13 +142,7 @@ class TreeRanks:
         bounds, wm = self.match_table(target, MATCH_WEIGHT[metric])
         n = len(target)
         adjacency = g.adjacency
-        if self.graph is not g:
-            size = len(rank)
-            self.graph = g
-            self.offset = array("i", [-1]) * size
-            self.data = array("H" if max(size, g.node_count) <= 1 << 16 else "i")
-        offset, data = self.offset, self.data  # this graph's, even once another resets them
-        min_degree, unfilled = self.MIN_DEGREE, -1 - self.SCANS_BEFORE_ENTRY
+        entries, min_degree, scans = self.entries, self.MIN_DEGREE, self.SCANS_BEFORE_ENTRY
 
         def keyed(u, nodes, live):
             return [
@@ -165,43 +150,19 @@ class TreeRanks:
                 for v in nodes if (live is None or live[v]) and (r := rank[v]) >= 0
             ]
 
-        def fill(u, nbrs):
-            """Write u's entry and return its offset."""
-            lu = length[u]
-            ranks = [rank[v] for v in nbrs]
-            shallower: list[int] = []
-            others: list[int] = []
-            for j, v in enumerate(nbrs):
-                if ranks[j] >= 0:
-                    if length[v] < lu:
-                        shallower.append(j)
-                    else:
-                        others.append(j)
-            others.sort(key=ranks.__getitem__)
-            o = offset[u] = len(data)
-            data.append(len(shallower))
-            data.append(len(others))
-            data.extend(shallower)
-            data.extend([ranks[j] for j in others])
-            data.extend(others)
-            return o
-
         def improving(u, live):
             i = bisect_right(bounds, rank[u])
-            own = length[u] - wm[i]
+            lu = length[u]
+            own = lu - wm[i]
             m = i if i <= n else 2 * n - i
             # ranks in [lo, hi) match more than u; the rest must be shallower
             lo, hi = (bounds[m], bounds[2 * n - 1 - m]) if m < n else (0, 0)
             nbrs = adjacency[u]
-            o = -1
-            if len(nbrs) >= min_degree:
-                o = offset[u]
-                if o <= unfilled:
-                    o = fill(u, nbrs)
-                elif o < 0:
-                    offset[u] = o - 1
-            if o < 0:
-                lu = length[u]
+            # a hub's scans so far or its entry; -1 for a node that is always scanned
+            entry = entries.get(u, 0) if len(nbrs) >= min_degree else -1
+            if entry.__class__ is int and entry < scans:
+                if entry >= 0:
+                    entries[u] = entry + 1
                 options = [
                     (k, v) for v in nbrs
                     if (live is None or live[v]) and (r := rank[v]) >= 0 and (lo <= r < hi or length[v] < lu)
@@ -209,19 +170,28 @@ class TreeRanks:
                 ]
                 options.sort(key=itemgetter(0))
                 return options
-            first = o + 2
-            others = first + data[o]
-            end = others + data[o + 1]
-            a = bisect_left(data, lo, others, end)
-            b = bisect_left(data, hi, a, end)
+            if entry.__class__ is int or entry[0] is not nbrs:  # write the entry for this graph
+                ranks = [rank[v] for v in nbrs]
+                shallower: list[int] = []
+                others: list[int] = []
+                for j, v in enumerate(nbrs):
+                    if ranks[j] >= 0:
+                        if length[v] < lu:
+                            shallower.append(j)
+                        else:
+                            others.append(j)
+                others.sort(key=ranks.__getitem__)
+                entry = entries[u] = (nbrs, shallower, array("i", [ranks[j] for j in others]), array("i", others))
+            _, shallower, ranks, positions = entry
             options = [
-                (k, j, v) for j in data[first:others] for v in [nbrs[j]]
+                (k, j, v) for j in shallower for v in [nbrs[j]]
                 if (live is None or live[v]) and (k := length[v] - wm[bisect_right(bounds, rank[v])]) < own
             ]
+            a = bisect_left(ranks, lo)
+            b = bisect_left(ranks, hi, a)
             if a < b:
-                shift = end - others
                 options += [
-                    (k, j, v) for r, j in zip(data[a:b], data[a + shift:b + shift]) for v in [nbrs[j]]
+                    (k, j, v) for r, j in zip(ranks[a:b], positions[a:b]) for v in [nbrs[j]]
                     if (live is None or live[v]) and (k := length[v] - wm[bisect_right(bounds, r)]) < own
                 ]
             options.sort()

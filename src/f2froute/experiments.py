@@ -60,9 +60,8 @@ class Scenario:
             raise ValueError(
                 f"tau={self.routing.tau} exceeds gamma={self.tree.gamma}"
             )
-        for m in self.metrics:
-            if m not in METRIC_NAMES:
-                raise ValueError(f"unknown metric {m!r}; choose from {METRIC_NAMES}")
+        if not self.metrics or not set(self.metrics) <= set(METRIC_NAMES):
+            raise ValueError(f"metrics must be a non-empty subset of {METRIC_NAMES}, got {self.metrics}")
 
 
 @dataclass

@@ -84,6 +84,37 @@ def test_fractional_attachment_degree_exits_with_one_error_line(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_metrics_are_refused_before_any_run(tmp_path, capsys, source):
+    out = tmp_path / "x.csv"
+    args = ["--graph", "pa:60:2", "--pairs", "5", "--runs", "2", "--out", str(out)]
+    if source == "flag":
+        args += ["--metrics", ","]
+    else:
+        conf = tmp_path / "conf.txt"
+        conf.write_text("metrics=\n")
+        args += ["--config", str(conf)]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: metrics must be a non-empty subset"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unconvertible_value_exits_with_one_error_line(tmp_path, capsys, source):
+    out = tmp_path / "x.csv"
+    args = ["--graph", "pa:60:2", "--out", str(out)]
+    if source == "flag":
+        args += ["--gamma", "abc"]
+    else:
+        conf = tmp_path / "conf.txt"
+        conf.write_text("gamma=abc\n")
+        args += ["--config", str(conf)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: argument --gamma: invalid int value: 'abc'"]
+    assert not out.exists()
+
+
 def test_bad_graph_spec_exit_code(tmp_path, capsys):
     cases = [("/no/such/file", None), ("pa:10", "pa:N:M"), ("pa:10:3:4", "pa:N:M"), ("er:x:0.1", "er:N:P")]
     for spec, form in cases:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from f2froute import adversary, experiments
 from f2froute.adversary import AdversaryConfig, all_live, inject_failures
 from f2froute.experiments import (
     CSV_HEADER,
@@ -213,6 +214,41 @@ def test_run_scenario_with_failures_and_attacks():
         rows = run_scenario(a, log=io.StringIO())
         ratio = dict((r.metric, r.mean) for r in rows)["success_ratio"]
         assert 0 <= ratio <= 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="with AdversaryConfig.seed 0, roots, failures and the attacker's edges share one Random(seed) stream")
+@pytest.mark.parametrize("mode", ["random-failures", "att-rand"])
+def test_roots_are_drawn_independently_of_failures_and_attacker(monkeypatch, mode):
+    # the library and CLI default adversary seed is 0, so seed ^ adv.seed
+    # is the run seed that also draws the roots
+    roots, masks, attackers = [], [], []
+
+    def recording(fn, out):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            out.append(result)
+            return result
+        return wrapper
+
+    for module in (experiments, adversary):  # att-rand chooses its roots inside adversary
+        monkeypatch.setattr(module, "choose_roots", recording(adversary.choose_roots, roots))
+    monkeypatch.setattr(experiments, "inject_failures", recording(inject_failures, masks))
+    monkeypatch.setattr(experiments, "attach_attacker", recording(adversary.attach_attacker, attackers))
+    gamma = 15 if mode == "random-failures" else 5
+    run_scenario(Scenario(
+        label="seeds", graph="pa:1000:5", tree=TreeConfig(gamma=gamma, strategy="BFS"),
+        routing=RoutingConfig(tau=1), adversary=AdversaryConfig(mode=mode, failure_fraction=0.3),
+        metrics=("success_ratio",), pairs_per_run=1, runs=20, master_seed=0,
+    ), log=io.StringIO())
+    assert len(roots) == 20
+    if mode == "random-failures":
+        # 300 roots, each failed with probability 0.3: about 90 expected
+        failed = sum(not mask.live[r] for mask, run_roots in zip(masks, roots) for r in run_roots)
+        assert failed >= 45, f"{failed} of 300 roots failed"
+    else:
+        # 100 roots, each next to the attacker's 16 of 1000 nodes: about 1.6 expected
+        near = sum(r in g.neighbors(a) for (g, a), run_roots in zip(attackers, roots) for r in run_roots)
+        assert near <= 10, f"{near} of 100 roots are neighbours of the attacker"
 
 
 def test_aggregate_ci_formula():
