@@ -86,32 +86,33 @@ def parse_args(argv=None) -> argparse.Namespace:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         parser.set_defaults(**file_values)
-    # reparse so explicit flags override file-provided defaults
-    return parser.parse_args(argv)
+    # reparse so explicit flags override file-provided defaults; argparse
+    # converts those defaults too. parse_args would print usage and exit 2
+    # on leftover arguments, so they are refused here
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def scenario_from_args(args: argparse.Namespace) -> Scenario:
     return Scenario(
         label=args.label,
         graph=args.graph,
-        tree=TreeConfig(
-            gamma=int(args.gamma),
-            accept_prob=float(args.q),
-            strategy=args.strategy,
-        ),
+        tree=TreeConfig(gamma=args.gamma, accept_prob=args.q, strategy=args.strategy),
         embedding=EmbeddingConfig(),
-        routing=RoutingConfig(tau=int(args.tau), metric=args.metric),
+        routing=RoutingConfig(tau=args.tau, metric=args.metric),
         dht=DhtConfig(),
         adversary=AdversaryConfig(
             mode=args.mode,
-            failure_fraction=float(args.failure_fraction),
-            attacker_edges=int(args.attacker_edges),
-            seed=int(args.seed),
+            failure_fraction=args.failure_fraction,
+            attacker_edges=args.attacker_edges,
+            seed=args.seed,
         ),
-        metrics=tuple(m.strip() for m in str(args.metrics).split(",") if m.strip()),
-        pairs_per_run=int(args.pairs),
-        runs=int(args.runs),
-        master_seed=int(args.seed),
+        metrics=tuple(m.strip() for m in args.metrics.split(",") if m.strip()),
+        pairs_per_run=args.pairs,
+        runs=args.runs,
+        master_seed=args.seed,
     )
 
 
@@ -126,7 +127,7 @@ def check_writable(path: str) -> None:
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-        workers = int(args.workers)
+        workers = args.workers
         if workers < 1:
             raise ValueError(f"--workers must be >= 1, got {workers}")
         scenario = scenario_from_args(args)

@@ -78,17 +78,18 @@ class TreeRanks:
     list, the positions in it of the neighbours shallower than u, in
     neighbour order, and the ranks of its other neighbours with a
     coordinate, sorted, with their positions in the same order. A visit
-    that reads an entry keys the shallower neighbours and the slice of
-    the others that two bisections find in the run, and reads no other
-    neighbour, not even its liveness. Sorting the options by key and then
-    by neighbour position gives the tie groups, and so the draws, of the
-    scan. Writing an entry costs about two scans, so a hub is scanned on
-    its first `SCANS_BEFORE_ENTRY` (3) visits and gets its entry on the
-    next: a hub visited seldom costs what a scan costs, and one visited
-    often pays for its entry once. Smaller nodes are always scanned,
-    which costs less than reading an entry. An entry is read only while
-    its neighbour list is the one the graph being routed holds for u;
-    keys on another graph write the entry again for that graph.
+    that reads an entry takes as candidates the shallower neighbours and
+    the slice of the others that two bisections find in the run, in
+    neighbour order, and reads no other neighbour, not even its
+    liveness; a scan takes every neighbour. Both key their candidates
+    alike, so they give the same options. Writing an entry costs about
+    two scans, so a hub is scanned on its first `SCANS_BEFORE_ENTRY` (3)
+    visits and gets its entry on the next: a hub visited seldom costs
+    what a scan costs, and one visited often pays for its entry once.
+    Smaller nodes are always scanned, which costs less than reading an
+    entry. An entry is read only while its neighbour list is the one the
+    graph being routed holds for u; keys on another graph write the
+    entry again for that graph.
     """
 
     MIN_DEGREE = 32
@@ -132,11 +133,10 @@ class TreeRanks:
         """(keyed, improving) toward target on g under metric.
 
         keyed(u, nodes, live): (key, v) for each v in nodes that is live
-        and has a coordinate, in order. improving(u, live): u's neighbours
-        v whose key is below u's own, as tuples that start with the key
-        and end with v, sorted by key and then by neighbour order; an
-        index entry gives (key, position of v, v), a scan (key, v). u is
-        the evaluator, which coordinates do not depend on.
+        and has a coordinate, in order. improving(u, live): (key, v) for
+        u's neighbours v whose key is below u's own, sorted by key and then
+        by neighbour order. u is the evaluator, which coordinates do not
+        depend on.
         """
         rank, length = self.rank, self.length
         bounds, wm = self.match_table(target, MATCH_WEIGHT[metric])
@@ -163,38 +163,23 @@ class TreeRanks:
             if entry.__class__ is int and entry < scans:
                 if entry >= 0:
                     entries[u] = entry + 1
-                options = [
-                    (k, v) for v in nbrs
-                    if (live is None or live[v]) and (r := rank[v]) >= 0 and (lo <= r < hi or length[v] < lu)
-                    and (k := length[v] - wm[bisect_right(bounds, r)]) < own
-                ]
-                options.sort(key=itemgetter(0))
-                return options
-            if entry.__class__ is int or entry[0] is not nbrs:  # write the entry for this graph
-                ranks = [rank[v] for v in nbrs]
-                shallower: list[int] = []
-                others: list[int] = []
-                for j, v in enumerate(nbrs):
-                    if ranks[j] >= 0:
-                        if length[v] < lu:
-                            shallower.append(j)
-                        else:
-                            others.append(j)
-                others.sort(key=ranks.__getitem__)
-                entry = entries[u] = (nbrs, shallower, array("i", [ranks[j] for j in others]), array("i", others))
-            _, shallower, ranks, positions = entry
+                candidates = nbrs
+            else:
+                if entry.__class__ is int or entry[0] is not nbrs:  # write the entry for this graph
+                    shallower = [j for j, v in enumerate(nbrs) if rank[v] >= 0 and length[v] < lu]
+                    others = sorted((r, j) for j, v in enumerate(nbrs) if (r := rank[v]) >= 0 and length[v] >= lu)
+                    ranks = array("i", [r for r, _ in others])
+                    entry = entries[u] = (nbrs, shallower, ranks, array("i", [j for _, j in others]))
+                _, shallower, ranks, positions = entry
+                a = bisect_left(ranks, lo)
+                b = bisect_left(ranks, hi, a)
+                candidates = [nbrs[j] for j in (sorted([*shallower, *positions[a:b]]) if a < b else shallower)]
             options = [
-                (k, j, v) for j in shallower for v in [nbrs[j]]
-                if (live is None or live[v]) and (k := length[v] - wm[bisect_right(bounds, rank[v])]) < own
+                (k, v) for v in candidates
+                if (live is None or live[v]) and (r := rank[v]) >= 0 and (lo <= r < hi or length[v] < lu)
+                and (k := length[v] - wm[bisect_right(bounds, r)]) < own
             ]
-            a = bisect_left(ranks, lo)
-            b = bisect_left(ranks, hi, a)
-            if a < b:
-                options += [
-                    (k, j, v) for r, j in zip(ranks[a:b], positions[a:b]) for v in [nbrs[j]]
-                    if (live is None or live[v]) and (k := length[v] - wm[bisect_right(bounds, r)]) < own
-                ]
-            options.sort()
+            options.sort(key=itemgetter(0))
             return options
 
         return keyed, improving

@@ -161,7 +161,6 @@ def dht_lookup(
     if rng is None:
         rng = random.Random(0)
     underlay = 0
-    overlay_hops = 0
     path = [origin]
 
     def contact(u: int, e: BucketEntry) -> bool:
@@ -169,47 +168,35 @@ def dht_lookup(
         if live is not None and not live[e.node]:
             nodes[u].remove_entry(e.node)
             return False
-        out = route_multi(
-            g, emb, u, e.node, rcfg, live=live, drop_nodes=drop_nodes, rng=rng
-        )
+        out = route_multi(g, emb, u, e.node, rcfg, live=live, drop_nodes=drop_nodes, rng=rng)
         underlay += out.total_hops
         if not out.success or e.node in drop_nodes:
             nodes[u].remove_entry(e.node)
             return False
+        path.append(e.node)
         return True
 
-    def walk(start: int) -> int:
-        nonlocal overlay_hops
-        u = start
+    def walk(u: int) -> int:
         while True:
-            advanced = False
             for e in closer_entries(nodes[u], key):
                 if contact(u, e):
-                    overlay_hops += 1
-                    path.append(e.node)
                     u = e.node
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 return u
 
     first = closer_entries(nodes[origin], key)
     if not first:
         return LookupOutcome(True, origin, 0, 0, path)
     terminals = []
-    starts = 0
-    for e in list(first):
-        if starts >= cfg.alpha:
+    for e in first:
+        if len(terminals) >= cfg.alpha:
             break
         if contact(origin, e):
-            starts += 1
-            overlay_hops += 1
-            path.append(e.node)
             terminals.append(walk(e.node))
     if not terminals:
-        return LookupOutcome(False, None, overlay_hops, underlay, path)
+        return LookupOutcome(False, None, len(path) - 1, underlay, path)
+    # each terminal is at least as close as the entry it was reached
+    # through, which is closer than the origin
     best = min(terminals, key=lambda t: xor_distance(nodes[t].kad_id, key))
-    if xor_distance(nodes[origin].kad_id, key) < xor_distance(nodes[best].kad_id, key):
-        best = origin
-    return LookupOutcome(True, best, overlay_hops, underlay, path)
-
+    return LookupOutcome(True, best, len(path) - 1, underlay, path)

@@ -151,7 +151,7 @@ def route(
                 ties += 1
             # the same draw as rng.choice over the tie group in neighbour order
             pick = 0 if ties == 1 else rng.choice(range(ties))
-            nxt = options.pop(pick)[-1]
+            nxt = options.pop(pick)[1]
             hops += 1
             path.append(nxt)
             if hops > cap:

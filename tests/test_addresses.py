@@ -329,6 +329,8 @@ def test_serialization_roundtrip_and_errors():
     odd = EmbeddingConfig(bits_per_element=3, max_length=4)
     with pytest.raises(ValueError):
         make_addr((1,), keys).to_bytes(odd)
+    with pytest.raises(ValueError, match="bits_per_element % 8"):
+        ReturnAddress.from_bytes(bytes(6), odd)
 
 
 # The hashing primitives as first written: one generic shake per element.

@@ -70,6 +70,8 @@ def test_choose_roots_excludes():
     assert 0 not in roots
     big = choose_roots(g, g.node_count + 3, seed=3)
     assert len(big) == g.node_count + 3  # repeats allowed past n
+    with pytest.raises(ValueError, match="no eligible root nodes"):
+        choose_roots(g, 1, seed=3, exclude=range(g.node_count))
 
 
 def test_att_rand_fabricates_child_prefixes_only():

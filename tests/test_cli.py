@@ -115,6 +115,13 @@ def test_unconvertible_value_exits_with_one_error_line(tmp_path, capsys, source)
     assert not out.exists()
 
 
+def test_unknown_flag_exits_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli(["--graph", "pa:60:2", "--out", str(out), "--gama", "3"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: unrecognized arguments: --gama 3"]
+    assert not out.exists()
+
+
 def test_bad_graph_spec_exit_code(tmp_path, capsys):
     cases = [("/no/such/file", None), ("pa:10", "pa:N:M"), ("pa:10:3:4", "pa:N:M"), ("er:x:0.1", "er:N:P")]
     for spec, form in cases:

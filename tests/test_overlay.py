@@ -102,6 +102,7 @@ def test_lookup_reaches_global_closest():
             out = dht_lookup(key, origin, nodes, g, emb, cfg, rcfg, rng=rng)
             best = min(range(n), key=lambda v: xor_distance(nodes[v].kad_id, key))
             assert out.success and out.terminal == best
+            assert out.overlay_hops == len(out.overlay_path) - 1
 
 
 def scan_closer_entries(dn, key):

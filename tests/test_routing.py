@@ -42,7 +42,7 @@ from f2froute.routing import (
     route_multi,
     select_trees,
 )
-from f2froute.trees import TreeConfig, construct_trees
+from f2froute.trees import TreeConfig, TreeSet, construct_trees
 
 CFG = EmbeddingConfig(bits_per_element=16, max_length=32)
 
@@ -78,6 +78,8 @@ def test_endpoints_without_coordinate_are_refused():
         route(g, emb, 0, 2, 0, RoutingConfig())
     with pytest.raises(ValueError, match="destination 0"):
         route(g, emb, 2, 0, 0, RoutingConfig())
+    with pytest.raises(ValueError, match="node 0 has no coordinate"):
+        address_for_node(emb, TreeSet(3, [1]), 0, 0, generate_address_keys(3, 1, 16)[0], 5, 6)
 
 
 def test_path_graph_follows_tree():
@@ -297,6 +299,13 @@ def test_select_trees_min_neighbor_distance():
     assert picked == [0]
     out = route_multi(g, emb, 1, 3, cfg, drop_nodes={2}, rng=random.Random(0))
     assert out.trees == picked
+    # a source whose neighbours all failed scores no tree: tau are drawn
+    g, ts, emb = build(n=40, gamma=4, seed=9, p=0.2)
+    src, dest = 5, 9
+    live = [v not in g.neighbors(src) for v in range(g.node_count)]
+    cfg = RoutingConfig(tau=3, metric="TD", embedding_choice="min-neighbor-distance")
+    picked = select_trees(g, emb, src, dest, cfg, live, random.Random(0))[0]
+    assert len(set(picked)) == 3 and picked == sorted(picked)
 
 
 @pytest.fixture(scope="module")
@@ -521,10 +530,6 @@ def scan_improving(g, emb, tree, dest, metric, u, live):
     return options
 
 
-def keys_and_nodes(options):
-    return [(o[0], o[-1]) for o in options]
-
-
 @pytest.fixture(params=[0, TreeRanks.MIN_DEGREE], ids=["every-node", "hubs"])
 def min_degree(request, monkeypatch):
     """Routes ask the neighbour index about every node, or only about the
@@ -548,7 +553,7 @@ def assert_index_matches_scan(g, emb, dests, live):
                 for u in range(g.node_count):
                     if fresh.coord(tree, u) is not None:
                         expected = scan_improving(g, fresh, tree, d, metric, u, live)
-                        got = keys_and_nodes(improving(u, live))
+                        got = improving(u, live)
                         assert got == expected, f"{metric} tree {tree} u {u} d {d}"
 
 
@@ -583,8 +588,8 @@ def test_neighbour_index_on_a_large_star(n):
         for d in (0, 1, n // 3, n - 1):
             improving = routing._key_fn(g, emb, 0, d, metric, None, None)[1]
             for u in (hub, d, (d + 5) % n):
-                assert keys_and_nodes(improving(u, None)) == scan_improving(g, emb, 0, d, metric, u, None)
-            assert [o[-1] for o in improving(hub, None)] == [d]
+                assert improving(u, None) == scan_improving(g, emb, 0, d, metric, u, None)
+            assert [v for _, v in improving(hub, None)] == [d]
 
 
 def test_neighbour_index_belongs_to_its_graph(monkeypatch):
@@ -603,7 +608,7 @@ def test_neighbour_index_belongs_to_its_graph(monkeypatch):
             assert fast == slow, f"pair {s}->{d}"
             improving = routing._key_fn(h, emb, 0, d, "TD", None, None)[1]
             for u in range(60):
-                assert keys_and_nodes(improving(u, None)) == scan_improving(h, emb, 0, d, "TD", u, None)
+                assert improving(u, None) == scan_improving(h, emb, 0, d, "TD", u, None)
 
 
 def test_keys_for_two_graphs_interleave(monkeypatch):
@@ -622,7 +627,7 @@ def test_keys_for_two_graphs_interleave(monkeypatch):
                 for u in nodes:
                     for graph, improving in held:
                         expected = scan_improving(graph, fresh, 0, d, metric, u, None)
-                        assert keys_and_nodes(improving(u, None)) == expected, f"{metric} d {d} u {u} visit {visit}"
+                        assert improving(u, None) == expected, f"{metric} d {d} u {u} visit {visit}"
 
 
 @pytest.mark.parametrize("bits", [16, 128])
@@ -646,7 +651,7 @@ def test_address_and_coordinate_keys_agree_at_every_node(bits):
                 by_rank = emb.ranks[tree].keys(g, emb.coord(tree, d), metric)[1]
                 by_address = address_keys(g, emb, tree, address, keys, metric)[1]
                 for u in nodes:
-                    expected = keys_and_nodes(by_rank(u, live))
+                    expected = by_rank(u, live)
                     assert by_address(u, live) == expected, f"{metric} tree {tree} u {u} d {d}"
 
 
@@ -689,7 +694,7 @@ def test_warm_visit_reads_live_only_for_candidates(attacked_pairs, metric):
             if ranks.rank[v] >= 0 and (ranks.length[v] < ranks.length[hub] or lo <= ranks.rank[v] < hi)
         }
         assert set(counting.reads) <= candidates, f"destination {d}"
-        assert {o[-1] for o in options} <= candidates
+        assert {v for _, v in options} <= candidates
         skipped += g.degree(hub) - len(counting.reads)
     assert skipped >= 10 * len(pairs[:30])  # most of the hub's neighbours go unread
 
