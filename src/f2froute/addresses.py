@@ -81,17 +81,10 @@ class CascadeDigests(dict):
         return digest
 
 
-def _sym_pad(key: int, bits: int) -> int:
-    return _shake(b"sym", key, bits=bits)
-
-
-def sym_encrypt(key: int, digest: int, bits: int) -> int:
-    """Keyed permutation on the hash domain standing in for a real cipher."""
-    return digest ^ _sym_pad(key, bits)
-
-
-def sym_decrypt(key: int, digest: int, bits: int) -> int:
-    return digest ^ _sym_pad(key, bits)
+def _sym_xor(key: int, digest: int, bits: int) -> int:
+    """Keyed involution on the hash domain standing in for a real cipher:
+    the same call encrypts and decrypts."""
+    return digest ^ _shake(b"sym", key, bits=bits)
 
 
 def hash_cascade(elements, seed_value: int, bits: int) -> tuple[int, ...]:
@@ -358,7 +351,7 @@ def add_ppp_layer(addr: ReturnAddress, issuer_keys: AddressKeys, cfg: EmbeddingC
     bits = cfg.bits_per_element
     vec = list(addr.digest_vector)
     for j in range(2, len(chain) + 2):  # issuer level l = len(chain) + 1
-        vec[j - 1] = sym_encrypt(chain[j - 2], vec[j - 1], bits)
+        vec[j - 1] = _sym_xor(chain[j - 2], vec[j - 1], bits)
     encrypted = tuple(vec)
     return PppAddress(
         encrypted_vector=encrypted,
@@ -383,7 +376,7 @@ def ppp_partial_decrypt(
     chain = evaluator_keys.decrypt_chain(addr.tree_index)
     vec = list(addr.encrypted_vector)
     for j in range(2, min(len(chain) + 1, len(vec)) + 1):
-        vec[j - 1] = sym_decrypt(chain[j - 2], vec[j - 1], bits)
+        vec[j - 1] = _sym_xor(chain[j - 2], vec[j - 1], bits)
     return tuple(vec)
 
 

@@ -96,6 +96,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def scenario_from_args(args: argparse.Namespace) -> Scenario:
+    if args.failure_fraction > 0 and args.mode != "random-failures":  # it would be ignored
+        raise ValueError(f"--failure-fraction {args.failure_fraction} needs --mode random-failures")
     return Scenario(
         label=args.label,
         graph=args.graph,

@@ -7,6 +7,7 @@ aggregates per-run means with 95% confidence intervals.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import sys
@@ -205,47 +206,29 @@ def _run_once(s: Scenario, run_idx: int) -> dict[str, float]:
     return out
 
 
-def _beta_fraction(x: float, a: float, b: float) -> float:
-    """The continued fraction of I_x(a, b), by the modified Lentz method;
-    it converges fast for x < (a + 1) / (a + b + 2)."""
-    tiny = 1e-300  # stands in for a denominator that comes out exactly 0
-    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1) or tiny)
-    h = d
-    for k in range(1, 10_000):
-        even = k * (b - k) * x / ((a + 2 * k - 1) * (a + 2 * k))
-        odd = -(a + k) * (a + b + k) * x / ((a + 2 * k) * (a + 2 * k + 1))
-        for num in (even, odd):
-            d = 1.0 / (1.0 + num * d or tiny)
-            c = 1.0 + num / c or tiny
-            h *= c * d
-        if abs(c * d - 1.0) < 3e-16:
-            break
-    return h
-
-
-def _incomplete_beta(x: float, y: float, a: float, b: float) -> float:
-    """Regularised incomplete beta I_x(a, b), given x and y = 1 - x
-    separately so that neither loses digits to the subtraction."""
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
-    )
-    if x < (a + 1) / (a + b + 2):
-        return front * _beta_fraction(x, a, b) / a
-    return 1.0 - front * _beta_fraction(y, b, a) / b
-
-
 def t_quantile(q: float, df: int) -> float:
     """Quantile of Student's t distribution with df degrees of freedom,
-    for 0.5 < q < 1, by bisection on the upper tail
-    P(T > t) = I_x(df/2, 1/2) / 2 with x = df / (df + t^2)."""
+    for 0.5 < q < 1, by bisection on the upper tail P(T > t) = (1 - A) / 2.
+
+    A = P(|T| < t) is the finite sum of Abramowitz and Stegun 26.7.3-4 in
+    theta = atan(t / sqrt(df)): sin(theta) * (1 + 1/2 cos^2 + 1*3/(2*4) cos^4
+    + ...) for even df, and 2/pi * (theta + sin(theta) * (cos + 2/3 cos^3
+    + ...)) for odd df, each up to the power df - 2, so a tail costs O(df).
+    """
     if not 0.5 < q < 1 or df < 1:
         raise ValueError(f"need 0.5 < q < 1 and df >= 1, got q={q}, df={df}")
 
     def upper_tail(t: float) -> float:
-        t2 = t * t
-        if not t2:
-            return 0.5
-        return _incomplete_beta(df / (df + t2), t2 / (df + t2), df / 2, 0.5) / 2
+        theta = math.atan(t / math.sqrt(df))
+        cos2 = math.cos(theta) ** 2
+        term, total = (math.cos(theta) if df % 2 else 1.0), 0.0
+        for k in range(2 + df % 2, df + 1, 2):  # empty for df = 1
+            total += term
+            term *= cos2 * (k - 1) / k
+        a = math.sin(theta) * total
+        if df % 2:
+            a = 2 / math.pi * (theta + a)
+        return (1 - a) / 2
 
     lo, hi = 0.0, 1.0
     while upper_tail(hi) > 1 - q:
@@ -282,17 +265,15 @@ def run_scenario(s: Scenario, workers: int = 1, log=None) -> list[MetricRow]:
 
     workers > 1 distributes runs over processes; results are identical
     to sequential execution because each run is seeded independently.
+    Either way a progress line follows each run's result, in run order.
     """
     if log is None:
         log = sys.stderr
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_run = list(pool.map(_run_once, [s] * s.runs, range(s.runs)))
-    else:
-        per_run = []
-        for i in range(s.runs):
-            per_run.append(_run_once(s, i))
-            print(f"{s.label}: run {i + 1}/{s.runs} done", file=log)
+    per_run = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for result in (pool.map if pool else map)(_run_once, [s] * s.runs, range(s.runs)):
+            per_run.append(result)
+            print(f"{s.label}: run {len(per_run)}/{s.runs} done", file=log)
     return aggregate(s.label, per_run, s.metrics)
 
 

@@ -115,6 +115,22 @@ def test_unconvertible_value_exits_with_one_error_line(tmp_path, capsys, source)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_ignored_failure_fraction_exits_with_one_error_line(tmp_path, capsys, source):
+    # without random-failures mode no failures are injected, so the value is refused, not dropped
+    out = tmp_path / "x.csv"
+    args = ["--graph", "pa:60:2", "--runs", "1", "--pairs", "5", "--out", str(out)]
+    if source == "flag":
+        args += ["--failure-fraction", "0.3"]
+    else:
+        conf = tmp_path / "conf.txt"
+        conf.write_text("failure-fraction=0.3\nmode=att-rand\n")
+        args += ["--config", str(conf)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --failure-fraction 0.3 needs --mode random-failures"]
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_with_one_error_line(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run_cli(["--graph", "pa:60:2", "--out", str(out), "--gama", "3"]) == 1

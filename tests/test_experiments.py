@@ -180,9 +180,12 @@ def test_run_scenario_deterministic(tmp_path):
 
 def test_parallel_runs_match_sequential():
     s = small_scenario()
-    seq = run_scenario(s, log=io.StringIO())
-    par = run_scenario(s, workers=2, log=io.StringIO())
+    seq_log, par_log = io.StringIO(), io.StringIO()
+    seq = run_scenario(s, log=seq_log)
+    par = run_scenario(s, workers=2, log=par_log)
     assert seq == par
+    # one progress line per run, in run order, whatever the worker count
+    assert par_log.getvalue() == seq_log.getvalue() == "".join(f"t: run {i}/2 done\n" for i in (1, 2))
 
 
 def test_run_scenario_all_metrics_present():
@@ -269,7 +272,7 @@ def test_t_quantile_matches_scipy():
         ours, ref = t_quantile(0.975, df), float(stats.t.ppf(0.975, df))
         assert abs(ours - ref) <= 1e-12 * ref, df
         assert f"{ours:.9g}" == f"{ref:.9g}", df
-    for q, df in [(0.6, 4), (0.9, 30), (0.995, 2)]:
+    for q, df in [(0.6, 4), (0.9, 30), (0.995, 2), (0.9, 7), (0.999, 1)]:
         assert t_quantile(q, df) == pytest.approx(float(stats.t.ppf(q, df)), rel=1e-12)
     # aggregate's ci95 carries the quantile for n - 1 degrees of freedom
     per_run = [{"m": float(v * v % 7)} for v in range(20)]
