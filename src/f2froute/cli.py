@@ -47,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="DIV-RAND")
     p.add_argument("--metric", choices=METRICS, default="TD")
     p.add_argument("--tau", type=int, default=1, help="parallel routing attempts per pair")
+    p.add_argument("--max-hops", type=int, help="hop cap per routing attempt (default 4 * (n + m))")
     p.add_argument("--mode", choices=MODES, default="none", help="adversary mode")
     p.add_argument("--attacker-edges", type=int, default=16)
     p.add_argument("--failure-fraction", type=float, default=0.0)
@@ -103,7 +104,7 @@ def scenario_from_args(args: argparse.Namespace) -> Scenario:
         graph=args.graph,
         tree=TreeConfig(gamma=args.gamma, accept_prob=args.q, strategy=args.strategy),
         embedding=EmbeddingConfig(),
-        routing=RoutingConfig(tau=args.tau, metric=args.metric),
+        routing=RoutingConfig(tau=args.tau, metric=args.metric, max_hops=args.max_hops),
         dht=DhtConfig(),
         adversary=AdversaryConfig(
             mode=args.mode,

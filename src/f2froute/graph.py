@@ -8,6 +8,7 @@ symmetric, deduplicated, and self-loop free.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -116,20 +117,76 @@ def load_edge_list(path) -> Graph:
     return Graph.from_edges(len(id_map), edges)
 
 
-def _preferential_attachment_edges(n: int, m: int, rng: random.Random):
+def shuffle(bits, x: list) -> None:
+    """Shuffle x in place; with bits = rng.getrandbits this equals
+    rng.shuffle(x), result and generator state alike.
+
+    Fisher–Yates from the top (Durstenfeld 1964): slot n - 1 swaps with
+    a j < n drawn by rejection over n's bit width, as CPython draws it.
+    """
+    for n in range(len(x), 1, -1):
+        b = n.bit_length()
+        j = bits(b)
+        while j >= n:
+            j = bits(b)
+        x[n - 1], x[j] = x[j], x[n - 1]
+
+
+def sample(bits, population, k: int) -> list:
+    """k entries of population at distinct positions, in selection order;
+    with bits = rng.getrandbits this equals rng.sample(population, k),
+    result and generator state alike.
+
+    Like CPython, it keeps a shrinking pool when the population is no
+    larger than a k-entry set would be, and otherwise redraws positions
+    already taken.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    out = []
+    if n <= setsize:
+        pool = list(population)
+        for m in range(n, n - k, -1):
+            b = m.bit_length()
+            j = bits(b)
+            while j >= m:
+                j = bits(b)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+        return out
+    b = n.bit_length()
+    taken: set[int] = set()
+    for _ in range(k):
+        j = bits(b)
+        while j >= n or j in taken:
+            j = bits(b)
+        taken.add(j)
+        out.append(population[j])
+    return out
+
+
+def _preferential_attachment_edges(n: int, m: int, bits):
     """Barabási–Albert growth: each new node links to m distinct existing
     nodes drawn in proportion to their degree.
 
     Starts from a star on m + 1 nodes (centre 0). `repeated` lists every
     node once per incident edge, so a uniform draw from it is a
-    degree-proportional draw.
+    degree-proportional draw. With bits = rng.getrandbits each draw
+    equals rng.choice(repeated); the list grows only after a node's
+    targets are chosen, so one bit width serves all of its draws.
     """
     yield from ((0, v) for v in range(1, m + 1))
     repeated = [0] * m + list(range(1, m + 1))
     for source in range(m + 1, n):
+        size = len(repeated)
+        b = size.bit_length()
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(rng.choice(repeated))
+            j = bits(b)
+            if j < size:
+                targets.add(repeated[j])
         yield from ((source, t) for t in targets)
         repeated.extend(targets)
         repeated.extend([source] * m)
@@ -160,7 +217,7 @@ def generate_synthetic(model: str, n: int, param: float, seed: int) -> Graph:
     elif model in ("preferential-attachment", "pa"):
         if not float(param).is_integer() or not 1 <= param < n:
             raise GenerationError(f"attachment degree must be an integer in [1, n), got {param}")
-        edges = _preferential_attachment_edges(n, int(param), rng)
+        edges = _preferential_attachment_edges(n, int(param), rng.getrandbits)
     else:
         raise GenerationError(f"unknown model {model!r}")
     g = giant_component(Graph.from_edges(n, edges))

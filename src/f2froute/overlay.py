@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from f2froute.embedding import Embedding
-from f2froute.graph import Graph
+from f2froute.graph import Graph, sample
 from f2froute.routing import RoutingConfig, route_multi
 
 ID_BITS = 160
@@ -106,8 +106,9 @@ def build_overlay(g: Graph, cfg: DhtConfig, seed: int) -> list[DhtNode]:
     prefix length d, so each bucket draws up to k random entries from
     its sibling branch. This stands in for the discovery lookups a
     deployment would run, with the same resulting table distribution.
+    Each draw equals rng.sample(sibling, k) on a Random seeded with seed.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     n = g.node_count
     ids = assign_ids(n, seed)
     nodes = [DhtNode(ids[v]) for v in range(n)]
@@ -124,13 +125,11 @@ def build_overlay(g: Graph, cfg: DhtConfig, seed: int) -> list[DhtNode]:
         for group, sibling in ((zeros, ones), (ones, zeros)):
             if not sibling:
                 continue
-            if len(sibling) <= cfg.bucket_size:  # every member's bucket holds the whole sibling
-                whole = tuple([entries[w] for w in sibling])
-                for v in group:
-                    nodes[v].buckets[depth] = whole
-                continue
+            peers = [entries[w] for w in sibling]
+            # a sibling of at most k peers fills every member's bucket, as one shared tuple
+            whole = tuple(peers) if len(peers) <= cfg.bucket_size else None
             for v in group:
-                nodes[v].buckets[depth] = tuple([entries[w] for w in rng.sample(sibling, cfg.bucket_size)])
+                nodes[v].buckets[depth] = whole or tuple(sample(bits, peers, cfg.bucket_size))
         fill(zeros, depth + 1)
         fill(ones, depth + 1)
 

@@ -20,7 +20,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from f2froute.graph import Graph, connected_components, diameter_estimate
+from f2froute.graph import Graph, connected_components, diameter_estimate, shuffle
 
 ABSENT = -2
 ROOT = -1
@@ -262,18 +262,21 @@ class TreeBuilder:
 
 
 def _construct_bfs(g: Graph, cfg: TreeConfig, roots: list[int]) -> TreeSet:
-    """Independent per-tree breadth-first construction with random child order."""
-    rng = random.Random(cfg.rng_seed)
+    """Independent per-tree breadth-first construction with random child
+    order; each node's order equals rng.shuffle of its neighbour list."""
+    bits = random.Random(cfg.rng_seed).getrandbits
     ts = TreeSet(g.node_count, roots, cfg)
     for i, r in enumerate(roots):
+        parent, level = ts.parent[i], ts.level[i]
         queue = deque([r])
         while queue:
             u = queue.popleft()
-            nbrs = list(g.neighbors(u))
-            rng.shuffle(nbrs)
+            nbrs = g.adjacency[u][:]
+            shuffle(bits, nbrs)
+            round_no = level[u] + 1
             for v in nbrs:
-                if not ts.in_tree(i, v):
-                    ts.attach(i, v, u, ts.level[i][u] + 1)
+                if parent[v] == ABSENT:
+                    ts.attach(i, v, u, round_no)
                     queue.append(v)
     return ts
 

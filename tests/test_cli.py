@@ -131,6 +131,30 @@ def test_ignored_failure_fraction_exits_with_one_error_line(tmp_path, capsys, so
     assert not out.exists()
 
 
+def test_hop_cap_run_writes_csv(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run_cli(["--graph", "pa:80:2", "--gamma", "2", "--pairs", "10", "--runs", "2",
+                    "--max-hops", "3", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+    assert scenario_from_args(parse_args(["--max-hops", "3"])).routing.max_hops == 3
+    assert scenario_from_args(parse_args([])).routing.max_hops is None
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_zero_hop_cap_exits_with_one_error_line(tmp_path, capsys, source):
+    out = tmp_path / "x.csv"
+    args = ["--graph", "pa:60:2", "--runs", "1", "--pairs", "5", "--out", str(out)]
+    if source == "flag":
+        args += ["--max-hops", "0"]
+    else:
+        conf = tmp_path / "conf.txt"
+        conf.write_text("max-hops=0\n")
+        args += ["--config", str(conf)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: max_hops must be >= 1, got 0"]
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_with_one_error_line(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run_cli(["--graph", "pa:60:2", "--out", str(out), "--gama", "3"]) == 1

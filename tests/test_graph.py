@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,7 +14,9 @@ from f2froute.graph import (
     giant_component,
     graph_stats,
     load_edge_list,
+    sample,
     shortest_path_lengths,
+    shuffle,
 )
 
 
@@ -126,6 +130,40 @@ def test_graph_stats_csv_row():
     row = st.csv_row()
     assert row.split(",")[0] == "4"
     assert len(row.split(",")) == len(st.CSV_HEADER.split(","))
+
+
+LENGTHS = [*range(41), 85, 86, 200]
+
+
+def test_shuffle_draws_as_random_shuffle():
+    for seed in range(300):
+        for n in LENGTHS:
+            ref, rng = random.Random(seed), random.Random(seed)
+            want, got = list(range(n)), list(range(n))
+            ref.shuffle(want)
+            shuffle(rng.getrandbits, got)
+            assert got == want and rng.getstate() == ref.getstate(), (seed, n)
+
+
+def test_sample_draws_as_random_sample():
+    # k = 6 and k = 8 take the set-size rule for k > 5; n = 85 and 86
+    # fall either side of k = 8's pool/set boundary
+    for seed in range(300):
+        for n in LENGTHS:
+            population = [10 * v for v in range(n)]
+            for k in (1, 5, 6, 8, 20):
+                if k > n:
+                    continue
+                ref, rng = random.Random(seed), random.Random(seed)
+                assert sample(rng.getrandbits, population, k) == ref.sample(population, k), (seed, n, k)
+                assert rng.getstate() == ref.getstate(), (seed, n, k)
+
+
+def test_sample_refuses_k_outside_population():
+    bits = random.Random(0).getrandbits
+    for k in (4, -1):
+        with pytest.raises(ValueError):
+            sample(bits, [1, 2, 3], k)
 
 
 def reference_or_none(nx_graph, n):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -61,11 +62,15 @@ def test_bucket_invariants():
     g, _ = build(n=200)
     cfg = DhtConfig(bucket_size=4)
     nodes = build_overlay(g, cfg, 7)
+    ids = [dn.kad_id for dn in nodes]
     for dn in nodes:
+        # the sibling branch of depth j: every peer sharing exactly j leading bits
+        branch = Counter(id_cpl(dn.kad_id, x) for x in ids if x != dn.kad_id)
+        assert set(dn.buckets) == set(branch)
         for j, bucket in dn.buckets.items():
-            assert 1 <= len(bucket) <= cfg.bucket_size
+            assert len({e.node for e in bucket}) == len(bucket) == min(cfg.bucket_size, branch[j])
             for e in bucket:
-                assert id_cpl(dn.kad_id, e.kad_id) == j
+                assert id_cpl(dn.kad_id, e.kad_id) == j and ids[e.node] == e.kad_id
 
 
 def test_filled_bucket_count_scales_logarithmically():
