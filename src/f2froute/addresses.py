@@ -81,10 +81,14 @@ class CascadeDigests(dict):
         return digest
 
 
-def _sym_xor(key: int, digest: int, bits: int) -> int:
-    """Keyed involution on the hash domain standing in for a real cipher:
-    the same call encrypts and decrypts."""
-    return digest ^ _shake(b"sym", key, bits=bits)
+def _xor_layer(vector: tuple[int, ...], chain: tuple[int, ...], bits: int) -> tuple[int, ...]:
+    """XOR elements 2.. of vector with one pad per key of chain, as far as
+    the vector reaches: a keyed involution on the hash domain standing in
+    for a real cipher, so the same call encrypts and decrypts."""
+    vec = list(vector)
+    for j, key in zip(range(1, len(vec)), chain):
+        vec[j] ^= _shake(b"sym", key, bits=bits)
+    return tuple(vec)
 
 
 def hash_cascade(elements, seed_value: int, bits: int) -> tuple[int, ...]:
@@ -325,6 +329,16 @@ def address_keys(
     return keyed, improving
 
 
+def _diversity(vector, seed: int, c: Coordinate, metric: str, cfg: EmbeddingConfig) -> int | Fraction:
+    """The distance of c to the issuer of a digest vector, from their matched prefix."""
+    m = _matched_prefix(vector, c, seed, CascadeDigests(cfg.bits_per_element))
+    if metric == "TD":
+        return len(vector) + len(c) - 2 * m
+    if metric == "CPL":
+        return cfg.max_length - m - Fraction(1, len(vector) + len(c) + 1)
+    raise UnsupportedMetricError(f"unknown metric {metric!r}")
+
+
 def diversity_rp(
     addr: ReturnAddress, c: Coordinate, metric: str, cfg: EmbeddingConfig
 ) -> int | Fraction:
@@ -333,13 +347,7 @@ def diversity_rp(
     Orders candidates exactly as the underlying distance to the issuer's
     coordinate does (route preservation).
     """
-    m = _matched_prefix(addr.digest_vector, c, addr.routing_seed, CascadeDigests(cfg.bits_per_element))
-    big_l = len(addr.digest_vector)
-    if metric == "TD":
-        return big_l + len(c) - 2 * m
-    if metric == "CPL":
-        return cfg.max_length - m - Fraction(1, big_l + len(c) + 1)
-    raise UnsupportedMetricError(f"unknown metric {metric!r}")
+    return _diversity(addr.digest_vector, addr.routing_seed, c, metric, cfg)
 
 
 def add_ppp_layer(addr: ReturnAddress, issuer_keys: AddressKeys, cfg: EmbeddingConfig) -> PppAddress:
@@ -347,12 +355,9 @@ def add_ppp_layer(addr: ReturnAddress, issuer_keys: AddressKeys, cfg: EmbeddingC
     tree = addr.tree_index
     if tree not in issuer_keys.subtree_keys:
         raise KeyError(f"issuer holds no subtree keys for tree {tree}")
-    chain = issuer_keys.subtree_keys[tree]
     bits = cfg.bits_per_element
-    vec = list(addr.digest_vector)
-    for j in range(2, len(chain) + 2):  # issuer level l = len(chain) + 1
-        vec[j - 1] = _sym_xor(chain[j - 2], vec[j - 1], bits)
-    encrypted = tuple(vec)
+    # an issuer at level l holds the l - 1 keys of elements 2..l
+    encrypted = _xor_layer(addr.digest_vector, issuer_keys.subtree_keys[tree], bits)
     return PppAddress(
         encrypted_vector=encrypted,
         routing_seed=addr.routing_seed,
@@ -372,12 +377,8 @@ def ppp_partial_decrypt(
     (beyond the common prefix with the issuer) come out as noise, which
     only lowers the apparent common prefix length, never raises it.
     """
-    bits = cfg.bits_per_element
     chain = evaluator_keys.decrypt_chain(addr.tree_index)
-    vec = list(addr.encrypted_vector)
-    for j in range(2, min(len(chain) + 1, len(vec)) + 1):
-        vec[j - 1] = _sym_xor(chain[j - 2], vec[j - 1], bits)
-    return tuple(vec)
+    return _xor_layer(addr.encrypted_vector, chain, cfg.bits_per_element)
 
 
 def diversity_ppp(
@@ -390,9 +391,7 @@ def diversity_ppp(
     """Prefix-distance of a candidate against a PPP address; CPL only."""
     if metric != "CPL":
         raise UnsupportedMetricError("the encrypted layer supports only the CPL metric")
-    decrypted = ppp_partial_decrypt(addr, evaluator_keys, cfg)
-    m = _matched_prefix(decrypted, c, addr.routing_seed, CascadeDigests(cfg.bits_per_element))
-    return cfg.max_length - m - Fraction(1, len(decrypted) + len(c) + 1)
+    return _diversity(ppp_partial_decrypt(addr, evaluator_keys, cfg), addr.routing_seed, c, metric, cfg)
 
 
 def candidate_receiver_set(
@@ -443,9 +442,5 @@ def address_for_node(
     if x is None:
         raise ValueError(f"node {node} has no coordinate in tree {tree}")
     l = len(x)
-    children_next = {
-        emb.coord(tree, c)[l]
-        for c in ts.children[tree][node]
-        if emb.coord(tree, c) is not None
-    }
+    children_next = {y[l] for c in ts.children[tree][node] if (y := emb.coord(tree, c)) is not None}
     return generate_rp(x, keys, children_next, s, s_pad, emb.cfg, tree_index=tree)

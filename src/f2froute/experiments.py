@@ -148,12 +148,10 @@ def _run_once(s: Scenario, run_idx: int) -> dict[str, float]:
     tree_cfg = replace(s.tree, rng_seed=seed)
     adv = s.adversary
     attacker = None
-    if adv.mode == "att-rand":
+    if adv.mode in ("att-rand", "att-root"):
         g, attacker = attach_attacker(g, adv.attacker_edges, seed ^ adv.seed)
-        ts, emb, mask = apply_att_rand(g, attacker, tree_cfg, s.embedding, seed + 1)
-    elif adv.mode == "att-root":
-        g, attacker = attach_attacker(g, adv.attacker_edges, seed ^ adv.seed)
-        ts, emb, mask = apply_att_root(g, attacker, tree_cfg, s.embedding, seed + 1)
+        apply_attack = apply_att_rand if adv.mode == "att-rand" else apply_att_root
+        ts, emb, mask = apply_attack(g, attacker, tree_cfg, s.embedding, seed + 1)
     else:
         roots = choose_roots(g, tree_cfg.gamma, seed)
         ts = construct_trees(g, tree_cfg, roots)

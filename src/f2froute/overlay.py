@@ -60,9 +60,12 @@ class DhtNode:
 class LookupOutcome:
     success: bool
     terminal: int | None
-    overlay_hops: int
+    overlay_hops: int = field(init=False)  # read off overlay_path
     underlay_hops: int
     overlay_path: list[int]
+
+    def __post_init__(self):
+        self.overlay_hops = len(self.overlay_path) - 1
 
 
 def xor_distance(a: int, b: int) -> int:
@@ -185,17 +188,13 @@ def dht_lookup(
                 return u
 
     first = closer_entries(nodes[origin], key)
-    if not first:
-        return LookupOutcome(True, origin, 0, 0, path)
-    terminals = []
+    terminals = [] if first else [origin]  # an origin with no closer entry is the closest
     for e in first:
         if len(terminals) >= cfg.alpha:
             break
         if contact(origin, e):
             terminals.append(walk(e.node))
-    if not terminals:
-        return LookupOutcome(False, None, len(path) - 1, underlay, path)
     # each terminal is at least as close as the entry it was reached
     # through, which is closer than the origin
-    best = min(terminals, key=lambda t: xor_distance(nodes[t].kad_id, key))
-    return LookupOutcome(True, best, len(path) - 1, underlay, path)
+    best = min(terminals, key=lambda t: xor_distance(nodes[t].kad_id, key), default=None)
+    return LookupOutcome(best is not None, best, underlay, path)

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from f2froute.addresses import AddressKeys, PppAddress, ReturnAddress, address_keys
-from f2froute.embedding import Coordinate, Embedding, EmbeddingConfig, TreeRanks
+from f2froute.embedding import Coordinate, Embedding, EmbeddingConfig, delta_cpl, delta_td
 from f2froute.graph import Graph
 
 METRICS = ("TD", "CPL")
@@ -82,13 +83,20 @@ class RouteOutcome:
 
 @dataclass
 class MultiRouteOutcome:
-    """Result of tau parallel attempts over distinct embeddings."""
+    """Result of tau parallel attempts over distinct embeddings; the
+    first three fields are derived from the attempts."""
 
-    success: bool
-    total_hops: int
-    best_route_length: int | None
+    success: bool = field(init=False)
+    total_hops: int = field(init=False)
+    best_route_length: int | None = field(init=False)
     trees: list[int]
     attempts: list[RouteOutcome] = field(default_factory=list)
+
+    def __post_init__(self):
+        lengths = [a.route_length for a in self.attempts if a.success]
+        self.success = bool(lengths)
+        self.total_hops = sum([a.hops for a in self.attempts])
+        self.best_route_length = min(lengths, default=None)
 
 
 def _key_fn(g, emb, tree, dest, metric, address, keys):
@@ -152,28 +160,26 @@ def route(
             # the same draw as rng.choice over the tie group in neighbour order
             pick = 0 if ties == 1 else rng.choice(range(ties))
             nxt = options.pop(pick)[1]
-            hops += 1
-            path.append(nxt)
-            if hops > cap:
-                return RouteOutcome(False, hops, path, HOP_CAP)
+        elif cfg.backtracking and len(chain) > 1:
+            chain.pop()
+            nxt = chain[-1]
+        else:
+            return RouteOutcome(False, hops, path, NO_PROGRESS)
+        hops += 1
+        path.append(nxt)
+        if hops > cap:
+            return RouteOutcome(False, hops, path, HOP_CAP)
+        # a step back lands on chain[-1], which a forward never does: it
+        # takes a neighbour whose key is below that of u == chain[-1]
+        if nxt != chain[-1]:
             if nxt == dest:
                 return RouteOutcome(True, hops, path, route_length=len(chain))
             if nxt in drop_nodes:
                 if not cfg.backtracking:
                     return RouteOutcome(False, hops, path, DROPPED)
                 path.append(u)  # the sender resumes after the silent drop
-                continue
-            chain.append(nxt)
-            continue
-        if not cfg.backtracking:
-            return RouteOutcome(False, hops, path, NO_PROGRESS)
-        chain.pop()
-        if not chain:
-            return RouteOutcome(False, hops, path, NO_PROGRESS)
-        hops += 1
-        path.append(chain[-1])
-        if hops > cap:
-            return RouteOutcome(False, hops, path, HOP_CAP)
+            else:
+                chain.append(nxt)
 
 
 def select_trees(
@@ -232,26 +238,12 @@ def route_multi(
     if rng is None:
         rng = random.Random(0)
     trees, key = select_trees(g, emb, src, dest, cfg, live, rng, addresses, keys)
-    attempts = []
-    total = 0
-    best = None
-    for i in trees:
-        addr = addresses[i] if addresses is not None else None
-        out = route(
-            g, emb, src, dest, i, cfg,
-            live=live, drop_nodes=drop_nodes, address=addr, keys=keys, rng=rng, _key=key.get(i),
-        )
-        attempts.append(out)
-        total += out.hops
-        if out.success and (best is None or out.route_length < best):
-            best = out.route_length
-    return MultiRouteOutcome(
-        success=best is not None,
-        total_hops=total,
-        best_route_length=best,
-        trees=trees,
-        attempts=attempts,
-    )
+    attempts = [
+        route(g, emb, src, dest, i, cfg, live=live, drop_nodes=drop_nodes,
+              address=None if addresses is None else addresses[i], keys=keys, rng=rng, _key=key.get(i))
+        for i in trees
+    ]
+    return MultiRouteOutcome(trees, attempts)
 
 
 def greedy_path_exists(
@@ -278,8 +270,8 @@ def greedy_path_exists(
         return False
     if src == dest:
         return True
-    keyed = TreeRanks(coords).keys(g, dest_coord, metric)[0]
-    key = {v: k for k, v in keyed(src, range(g.node_count), live)}
+    dist = delta_td if metric == "TD" else partial(delta_cpl, cfg=cfg)
+    key = {v: dist(c, dest_coord) for v, c in enumerate(coords) if c is not None and (live is None or live[v])}
 
     # edges only go from larger to strictly smaller key: plain DFS suffices
     seen = {src}

@@ -307,15 +307,12 @@ def handle_join(ts: TreeSet, g: Graph, new_node: int, seed: int = 0) -> TreeSet:
     missing = [i for i in range(ts.gamma) if not ts.in_tree(i, new_node)]
     if not missing:
         raise JoinError(f"node {new_node} already in every tree")
-    for i in missing:
-        if not any(ts.in_tree(i, w) for w in g.neighbors(new_node)):
-            raise JoinError(f"node {new_node} has no neighbor in tree {i}")
-    events: list[tuple[int, int, int]] = []  # (arrival_round, tree, inviter)
-    for i in missing:
-        for w in g.neighbors(new_node):
-            if ts.in_tree(i, w):
-                events.append((ts.join_round[i][w] + 1, i, w))
-    events.sort()
+    nbrs = g.neighbors(new_node)
+    # (arrival_round, tree, inviter), one per neighbour in each missing tree
+    events = sorted([(ts.join_round[i][w] + 1, i, w) for i in missing for w in nbrs if ts.in_tree(i, w)])
+    unreachable = set(missing).difference([i for _, i, _ in events])
+    if unreachable:
+        raise JoinError(f"node {new_node} has no neighbor in tree {min(unreachable)}")
     pending: dict[int, list[int]] = {}
     joined: dict[int, int] = {}  # tree -> chosen parent
     pc = dict(ts.pc[new_node])  # the parents it keeps in the trees it is in
@@ -384,10 +381,9 @@ def handle_departure(
                 reassigned += 1
             parent[c] = ABSENT
             ts.release_parent(c, node)
-        old_parent = parent[node]
-        if old_parent >= 0:
-            children[old_parent].remove(node)
-            ts.release_parent(node, old_parent)
+        old_parent = parent[node]  # a member, not the root: RootDepartureError came first
+        children[old_parent].remove(node)
+        ts.release_parent(node, old_parent)
         parent[node] = ABSENT
         level[node] = -1
         children[node] = []

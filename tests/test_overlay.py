@@ -201,6 +201,20 @@ def test_dead_entry_evicted_on_failed_contact():
     assert victim not in [e.node for b in nodes[origin].buckets.values() for e in b]
 
 
+def test_lookup_with_every_closer_entry_dead_fails_at_origin():
+    g, emb = build(n=60, seed=6)
+    cfg = DhtConfig(alpha=2)
+    nodes = build_overlay(g, cfg, 4)
+    origin, key = 3, random.Random(5).getrandbits(ID_BITS)
+    dead = {e.node for e in closer_entries(nodes[origin], key)}
+    assert dead and origin not in dead
+    live = [v not in dead for v in range(g.node_count)]
+    out = dht_lookup(key, origin, nodes, g, emb, cfg, RoutingConfig(tau=2), live=live)
+    assert (out.success, out.terminal, out.overlay_hops, out.underlay_hops) == (False, None, 0, 0)
+    assert out.overlay_path == [origin]
+    assert dead.isdisjoint(e.node for b in nodes[origin].buckets.values() for e in b)
+
+
 def test_lookups_survive_churn_after_stabilization():
     g, emb = build(n=150, seed=12)
     n = g.node_count

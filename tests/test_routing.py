@@ -273,6 +273,14 @@ def test_route_multi_any_tree_suffices():
     assert not solo.success
 
 
+def test_route_multi_with_every_attempt_failing():
+    g, emb = multi_tree_instance()
+    out = route_multi(g, emb, 1, 3, RoutingConfig(tau=2, metric="TD"), drop_nodes={0, 2}, rng=random.Random(0))
+    assert [a.success for a in out.attempts] == [False, False]
+    assert not out.success and out.best_route_length is None
+    assert out.total_hops == sum(a.hops for a in out.attempts) > 0
+
+
 def test_route_multi_tau_one_reduces_to_route():
     g, ts, emb = build(n=30, gamma=1, seed=6)
     cfg = RoutingConfig(tau=1, metric="TD")

@@ -8,16 +8,17 @@ Each line is `<output> <digest>`. Running it on two revisions and diffing
 the lines shows which seeded outputs changed between them. It covers tree
 construction for every strategy, `stabilization_metric`,
 `sample_pairs` (with failures and exclusions), in-place depart-and-join
-sequences, `run_scenario` CSVs, and `route_multi` outcomes for each
-metric, addressing mode and embedding choice on one att-rand instance
-with failures, then again without backtracking and under a small hop
-cap. Then come the return addresses that instance issues: per tree, the
-rp addresses' digest vectors, routing seeds, MAC tags and byte records,
-and the ppp addresses' encrypted vectors, seeds and tags; then rp
-addresses at a width that is not a multiple of 8 bits. Next, DHT lookups
-per metric, on a network without failed nodes and on one with them,
-each with the routing tables they leave behind, as the (id, node) pairs
-of every bucket. Then, per strategy, the whole tree state after 300
+sequences, `run_scenario` CSVs under every adversary mode (none,
+random-failures, att-rand and att-root), and `route_multi` outcomes for
+each metric, addressing mode and embedding choice on one att-rand
+instance with failures, then again without backtracking and under a
+small hop cap. Then come the return addresses that instance issues: per
+tree, the rp addresses' digest vectors, routing seeds, MAC tags and byte
+records, and the ppp addresses' encrypted vectors, seeds and tags; then
+rp addresses at a width that is not a multiple of 8 bits. Next, DHT
+lookups per metric, on a network without failed nodes and on one with
+them, each with the routing tables they leave behind, as the (id, node)
+pairs of every bucket. Then, per strategy, the whole tree state after 300
 departures and rejoins. Last of all, the adjacency of each synthetic
 graph model at three sizes, and `aggregate`'s CSV rows, whose ci95
 carries the t-quantile, for 2 to 2000 runs. It uses only calls that have
@@ -201,7 +202,7 @@ def main() -> None:
     metrics = ("success_ratio", "routing_length", "stabilization_cost")
     with tempfile.TemporaryDirectory() as tmp:
         for strategy in STRATEGIES:
-            for mode in ("none", "random-failures"):
+            for mode in ("none", "random-failures", "att-rand", "att-root"):
                 scenario = experiments.Scenario(
                     label="d", graph="pa:300:3",
                     tree=TreeConfig(gamma=3, strategy=strategy),
