@@ -16,7 +16,6 @@ each distinct cascade input once per route (`address_keys`).
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -187,21 +186,16 @@ def distribute_subtree_keys(
     """
     if not 0 <= tree < ts.gamma:
         raise ValueError(f"tree index {tree} out of range [0, {ts.gamma})")
-    root = ts.roots[tree]
-    keys[root].subtree_keys[tree] = ()
-    queue = deque([(root, ())])
-    while queue:
-        u, chain = queue.popleft()
+    keys[ts.roots[tree]].subtree_keys[tree] = ()
+    for u in ts.top_down(tree):
+        # u holds its ancestors' keys at levels 1..l-1; its children add u's own
+        chain = keys[u].subtree_keys[tree]
         if ts.level[tree][u] >= 1 and ts.children[tree][u]:
             own_key = prng_value(seed, (tree << 32) ^ u, bits)
             keys[u].generated[tree] = own_key
-            child_chain = chain + (own_key,)
-        else:
-            child_chain = chain
+            chain += (own_key,)
         for v in ts.children[tree][u]:
-            # a node at level l holds the keys of its ancestors at 1..l-1
-            keys[v].subtree_keys[tree] = child_chain[: max(ts.level[tree][v] - 1, 0)]
-            queue.append((v, child_chain))
+            keys[v].subtree_keys[tree] = chain
 
 
 def generate_rp(

@@ -132,7 +132,7 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         workers = args.workers
         if workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {workers}")
+            raise ValueError(f"workers must be >= 1, got {workers}")
         scenario = scenario_from_args(args)
         for path in (args.out, args.graph_stats):
             if path:  # fail before the runs, not after them

@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -220,11 +219,8 @@ def assign_coordinates(
     coords: list[list[Coordinate | None]] = []
     for i in range(ts.gamma):
         tree_coords: list[Coordinate | None] = [None] * ts.node_count
-        root = ts.roots[i]
-        tree_coords[root] = ()
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        tree_coords[ts.roots[i]] = ()
+        for u in ts.top_down(i):
             kids = ts.children[i][u]
             if not kids:
                 continue
@@ -244,7 +240,6 @@ def assign_coordinates(
                     elem = rng.getrandbits(bits)
                 used.add(elem)
                 tree_coords[v] = prefix + (elem,)
-                queue.append(v)
         coords.append(tree_coords)
     return Embedding(coords, cfg)
 

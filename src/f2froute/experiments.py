@@ -25,7 +25,7 @@ from f2froute.adversary import (
 )
 from f2froute.embedding import EmbeddingConfig, assign_coordinates
 from f2froute.graph import Graph, connected_components, generate_synthetic, giant_component, load_edge_list
-from f2froute.overlay import DhtConfig, build_overlay, dht_lookup
+from f2froute.overlay import ID_BITS, DhtConfig, build_overlay, dht_lookup
 from f2froute.routing import RoutingConfig, route_multi
 from f2froute.trees import TreeConfig, TreeSet, construct_trees
 
@@ -192,7 +192,7 @@ def _run_once(s: Scenario, run_idx: int) -> dict[str, float]:
         hops = []
         for _ in range(s.dht_lookups):
             origin = drng.choice(live_pool)
-            key = drng.getrandbits(160)
+            key = drng.getrandbits(ID_BITS)
             res = dht_lookup(
                 key, origin, dht_nodes, g, emb, s.dht, s.routing,
                 live=mask.live, drop_nodes=mask.drop_nodes, rng=drng,

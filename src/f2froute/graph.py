@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 
 UNREACHABLE = -1
@@ -239,14 +238,11 @@ def connected_components(g: Graph, live=None) -> list[list[int]]:
             continue
         comp = [start]
         seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        for u in comp:  # breadth-first; the list grows as it is walked
             for v in g.neighbors(u):
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)
-                    queue.append(v)
         comps.append(comp)
     comps.sort(key=len, reverse=True)
     return comps
@@ -276,14 +272,13 @@ def shortest_path_lengths(g: Graph, source: int) -> list[int]:
         raise ValueError(f"source {source} out of range [0, {g.node_count})")
     dist = [UNREACHABLE] * g.node_count
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
+    order = [source]
+    for u in order:  # the list grows as it is walked
         du = dist[u]
         for v in g.neighbors(u):
             if dist[v] == UNREACHABLE:
                 dist[v] = du + 1
-                queue.append(v)
+                order.append(v)
     return dist
 
 

@@ -17,7 +17,6 @@ strategy.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from f2froute.graph import Graph, connected_components, diameter_estimate, shuffle
@@ -130,13 +129,18 @@ class TreeSet:
             stack.extend(self.children[tree][u])
         return out
 
+    def top_down(self, tree: int) -> list[int]:
+        """The tree's members breadth-first over the children lists, root
+        first: each node comes after its parent."""
+        order = [self.roots[tree]]
+        for u in order:  # the list grows as it is walked
+            order.extend(self.children[tree][u])
+        return order
+
     def subtree_sizes(self, tree: int) -> list[int]:
         """Per node, its subtree's member count (itself included); 0 if absent."""
         size = [0] * self.node_count
-        order = [self.roots[tree]]
-        for u in order:  # breadth-first; the list grows as it is walked
-            order.extend(self.children[tree][u])
-        for u in reversed(order):
+        for u in reversed(self.top_down(tree)):
             size[u] += 1
             if self.parent[tree][u] >= 0:
                 size[self.parent[tree][u]] += size[u]
@@ -268,16 +272,15 @@ def _construct_bfs(g: Graph, cfg: TreeConfig, roots: list[int]) -> TreeSet:
     ts = TreeSet(g.node_count, roots, cfg)
     for i, r in enumerate(roots):
         parent, level = ts.parent[i], ts.level[i]
-        queue = deque([r])
-        while queue:
-            u = queue.popleft()
+        order = [r]  # grows as it is walked: the built tree's top_down order
+        for u in order:
             nbrs = g.adjacency[u][:]
             shuffle(bits, nbrs)
             round_no = level[u] + 1
             for v in nbrs:
                 if parent[v] == ABSENT:
                     ts.attach(i, v, u, round_no)
-                    queue.append(v)
+                    order.append(v)
     return ts
 
 
@@ -319,7 +322,7 @@ def handle_join(ts: TreeSet, g: Graph, new_node: int, seed: int = 0) -> TreeSet:
     degree = g.degree(new_node)
     round_no, idx = 0, 0
     # a non-preferred invitation is accepted w.p. q per round
-    cap = (events[-1][0] if events else 0) + int(500 / ts.cfg.accept_prob)
+    cap = events[-1][0] + int(500 / ts.cfg.accept_prob)
     while len(joined) < len(missing):
         round_no += 1
         if round_no > cap:

@@ -26,8 +26,8 @@ from f2froute.addresses import (
     verify_mac,
 )
 from f2froute.embedding import EmbeddingConfig, assign_coordinates, cpl, delta_cpl, delta_td
-from f2froute.graph import Graph
-from f2froute.trees import TreeSet
+from f2froute.graph import Graph, generate_synthetic
+from f2froute.trees import STRATEGIES, TreeConfig, TreeSet, construct_trees
 
 CFG = EmbeddingConfig(bits_per_element=16, max_length=8)
 BITS = CFG.bits_per_element
@@ -221,6 +221,25 @@ def test_subtree_key_distribution():
     assert keys[5].subtree_keys[0][0] != keys[7].subtree_keys[0][0]
     with pytest.raises(ValueError):
         distribute_subtree_keys(ts, 3, 0, keys, BITS)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_subtree_keys_are_the_ancestors_generated_keys(strategy):
+    g = generate_synthetic("pa", 120, 2, seed=8)
+    ts = construct_trees(g, TreeConfig(gamma=3, strategy=strategy, rng_seed=8), [0, 5, 9])
+    keys = generate_address_keys(g.node_count, 42, BITS)
+    for i in range(3):
+        distribute_subtree_keys(ts, i, 99, keys, BITS)
+    for i in range(3):
+        for v in range(g.node_count):
+            ancestors = []  # levels 1..l-1, root side first
+            u = ts.parent[i][v]
+            while u >= 0 and ts.level[i][u] >= 1:
+                ancestors.insert(0, u)
+                u = ts.parent[i][u]
+            assert keys[v].subtree_keys[i] == tuple(keys[a].generated[i] for a in ancestors)
+            # only inner nodes below the root generate a key
+            assert (i in keys[v].generated) == (ts.level[i][v] >= 1 and bool(ts.children[i][v]))
 
 
 def test_ppp_layer_encrypts_exact_range():

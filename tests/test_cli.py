@@ -70,7 +70,7 @@ def test_workers_below_one_exit_with_one_error_line(tmp_path, capsys, workers):
     code = run_cli(["--graph", "pa:60:2", "--pairs", "5", "--runs", "1", "--workers", workers, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.splitlines() == [f"error: --workers must be >= 1, got {workers}"]
+    assert err.splitlines() == [f"error: workers must be >= 1, got {workers}"]
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import random
 import signal
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,6 +323,43 @@ def test_descendants_count_matches_parent_chain_oracle():
         assert descendants_count(ts, node, 0) == oracle
     with pytest.raises(ValueError):
         descendants_count(ts, 0, 5)
+
+
+def assert_top_down(ts, tree):
+    order = ts.top_down(tree)
+    assert order[0] == ts.roots[tree]
+    # each member exactly once; absent nodes left out
+    assert sorted(order) == [v for v in range(ts.node_count) if ts.in_tree(tree, v)]
+    pos = {v: k for k, v in enumerate(order)}
+    assert all(pos[ts.parent[tree][v]] < pos[v] for v in order[1:])
+    bfs, queue = [], deque([ts.roots[tree]])
+    while queue:
+        u = queue.popleft()
+        bfs.append(u)
+        queue.extend(ts.children[tree][u])
+    assert order == bfs
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_top_down_is_breadth_first_over_children_before_and_after_churn(strategy):
+    # m = 1 gives a tree graph: a departure strands the nodes beyond it
+    for m, seed in ((1, 3), (3, 4)):
+        g = generate_synthetic("pa", 60, m, seed=seed)
+        ts = construct_trees(g, TreeConfig(gamma=3, strategy=strategy, rng_seed=seed), [0, 1, 2])
+        for i in range(3):
+            assert_top_down(ts, i)
+        rng = random.Random(seed)
+        for k in range(12):
+            v = rng.randrange(3, g.node_count)
+            handle_departure(ts, g, v, seed=k)
+            for i in range(3):
+                assert_top_down(ts, i)
+            try:
+                handle_join(ts, g, v, seed=k)
+            except JoinError:
+                continue
+            for i in range(3):
+                assert_top_down(ts, i)
 
 
 def test_copy_is_independent():
