@@ -186,6 +186,9 @@ def distribute_subtree_keys(
     """
     if not 0 <= tree < ts.gamma:
         raise ValueError(f"tree index {tree} out of range [0, {ts.gamma})")
+    for k in keys:  # a node that left the tree, or lost its children, keeps none
+        k.subtree_keys.pop(tree, None)
+        k.generated.pop(tree, None)
     keys[ts.roots[tree]].subtree_keys[tree] = ()
     for u in ts.top_down(tree):
         # u holds its ancestors' keys at levels 1..l-1; its children add u's own

@@ -64,6 +64,11 @@ class TreeSet:
     """Per-tree parent/child/level records plus parent-diversity counters.
 
     parent[i][v] is ABSENT while v is outside tree i, ROOT for the root.
+    children[i][v] lists v's children in tree i; while v has none, the
+    entry is the shared empty tuple (), not a list of its own. Only
+    `add_child` and `remove_child` write a child into or out of an entry,
+    so that a first child makes a one-element list and removing the last
+    one restores the tuple; code that drops a node resets its entry to ().
     pc[v] maps a neighbor to the number of trees in which that neighbor
     is currently v's parent. max_join_round[i] is the running maximum of
     join_round[i], raised by `attach`, the only writer of join rounds, so
@@ -79,7 +84,7 @@ class TreeSet:
         self.parent = [[ABSENT] * n for _ in range(gamma)]
         self.level = [[-1] * n for _ in range(gamma)]
         self.join_round = [[-1] * n for _ in range(gamma)]
-        self.children = [[[] for _ in range(n)] for _ in range(gamma)]
+        self.children = [[()] * n for _ in range(gamma)]
         self.pc = [dict() for _ in range(n)]
         self.max_join_round = [0] * gamma
         self.clock = 0
@@ -105,8 +110,23 @@ class TreeSet:
         self.join_round[tree][v] = round_no
         if round_no > self.max_join_round[tree]:
             self.max_join_round[tree] = round_no
-        self.children[tree][parent].append(v)
+        self.add_child(tree, parent, v)
         self.add_parent(v, parent)
+
+    def add_child(self, tree: int, parent: int, v: int) -> None:
+        """List v among parent's children in the tree."""
+        kids = self.children[tree][parent]
+        if kids:
+            kids.append(v)
+        else:
+            self.children[tree][parent] = [v]
+
+    def remove_child(self, tree: int, parent: int, v: int) -> None:
+        """Take v off parent's children in the tree; the last one leaves ()."""
+        kids = self.children[tree][parent]
+        kids.remove(v)
+        if not kids:
+            self.children[tree][parent] = ()
 
     def add_parent(self, v: int, parent: int) -> None:
         """Count one tree more in which parent is v's parent."""
@@ -154,7 +174,7 @@ class TreeSet:
         dup.level = [list(l) for l in self.level]
         dup.join_round = [list(j) for j in self.join_round]
         dup.max_join_round = list(self.max_join_round)
-        dup.children = [[list(c) for c in tree] for tree in self.children]
+        dup.children = [[list(c) if c else () for c in tree] for tree in self.children]
         dup.pc = [dict(d) for d in self.pc]
         dup.clock = self.clock
         return dup
@@ -163,9 +183,16 @@ class TreeSet:
         """Assert structural invariants; raises AssertionError on violation."""
         for i in range(self.gamma):
             assert self.max_join_round[i] == max(self.join_round[i])
+            listed = 0
             for v in range(self.node_count):
+                kids = self.children[i][v]
+                # child -> parent: each child listed once, under its own parent
+                assert len(set(kids)) == len(kids)
+                assert all(self.parent[i][c] == v for c in kids)
+                listed += len(kids)
                 p = self.parent[i][v]
                 if p == ABSENT:
+                    assert not kids
                     continue
                 if p == ROOT:
                     assert v == self.roots[i] and self.level[i][v] == 0
@@ -180,6 +207,7 @@ class TreeSet:
                     steps += 1
                     assert steps <= self.node_count
                 assert steps == self.level[i][v]
+            assert listed == sum(p != ABSENT for p in self.parent[i]) - 1
 
 
 def choose_invitation(
@@ -385,11 +413,11 @@ def handle_departure(
             parent[c] = ABSENT
             ts.release_parent(c, node)
         old_parent = parent[node]  # a member, not the root: RootDepartureError came first
-        children[old_parent].remove(node)
+        ts.remove_child(i, old_parent, node)
         ts.release_parent(node, old_parent)
         parent[node] = ABSENT
         level[node] = -1
-        children[node] = []
+        children[node] = ()
         rng.shuffle(subtrees)
         while subtrees:
             waiting, invited = [], False
@@ -414,15 +442,15 @@ def handle_departure(
                         if parent[d] >= 0:
                             ts.release_parent(d, parent[d])
                         parent[d] = ABSENT
-                        children[d] = []
+                        children[d] = ()
                 break
             c, d = found
             path = [d]
             while path[-1] != c:
                 path.append(parent[path[-1]])
             for u, p in zip(path, path[1:]):  # u was p's child; flip the edge
-                children[p].remove(u)
-                children[u].append(p)
+                ts.remove_child(i, p, u)
+                ts.add_child(i, u, p)
                 ts.release_parent(u, p)
                 parent[p] = u
                 ts.add_parent(p, u)

@@ -27,7 +27,7 @@ from f2froute.addresses import (
 )
 from f2froute.embedding import EmbeddingConfig, assign_coordinates, cpl, delta_cpl, delta_td
 from f2froute.graph import Graph, generate_synthetic
-from f2froute.trees import STRATEGIES, TreeConfig, TreeSet, construct_trees
+from f2froute.trees import STRATEGIES, TreeConfig, TreeSet, construct_trees, handle_departure
 
 CFG = EmbeddingConfig(bits_per_element=16, max_length=8)
 BITS = CFG.bits_per_element
@@ -240,6 +240,25 @@ def test_subtree_keys_are_the_ancestors_generated_keys(strategy):
             assert keys[v].subtree_keys[i] == tuple(keys[a].generated[i] for a in ancestors)
             # only inner nodes below the root generate a key
             assert (i in keys[v].generated) == (ts.level[i][v] >= 1 and bool(ts.children[i][v]))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_keys_distributed_again_after_churn_match_a_fresh_distribution(strategy):
+    # m = 1 gives a tree graph: the departure strands the rest of the
+    # largest subtree, and its root becomes a node without children; none
+    # of them may keep a key from the first distribution
+    g = generate_synthetic("pa", 200, 1, seed=1)
+    ts = construct_trees(g, TreeConfig(strategy=strategy, rng_seed=1), [0])
+    keys = generate_address_keys(g.node_count, 42, BITS)
+    distribute_subtree_keys(ts, 0, 99, keys, BITS)
+    sizes = ts.subtree_sizes(0)
+    departed = max(range(1, g.node_count), key=sizes.__getitem__)
+    handle_departure(ts, g, departed, seed=1)
+    distribute_subtree_keys(ts, 0, 99, keys, BITS)
+    fresh = generate_address_keys(g.node_count, 42, BITS)
+    distribute_subtree_keys(ts, 0, 99, fresh, BITS)
+    assert sum(not ts.in_tree(0, v) for v in range(g.node_count)) == sizes[departed]
+    assert keys == fresh
 
 
 def test_ppp_layer_encrypts_exact_range():

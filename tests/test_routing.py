@@ -652,7 +652,7 @@ def test_address_and_coordinate_keys_agree_at_every_node(bits):
     rng = random.Random(27)
     for tree in range(emb.gamma):
         nodes = [u for u in range(g.node_count) if emb.coord(tree, u) is not None]
-        fabricated = ts.children[tree][attacker][:1]  # a destination with a fabricated prefix
+        fabricated = list(ts.children[tree][attacker][:1])  # a destination with a fabricated prefix
         for k, d in enumerate(fabricated + rng.sample(nodes, 3)):
             address = address_for_node(emb, ts, d, tree, keys[d], 100 * k + tree, 200 * k + tree)
             for metric in ("TD", "CPL"):

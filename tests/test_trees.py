@@ -362,6 +362,87 @@ def test_top_down_is_breadth_first_over_children_before_and_after_churn(strategy
                 assert_top_down(ts, i)
 
 
+def assert_leaves_share_one_tuple(ts, g):
+    # a childless entry is the shared (), any other a list; the trees read
+    # the same as with a list in every entry
+    shared = ()
+    for tree in ts.children:
+        for kids in tree:
+            assert kids is shared if not kids else type(kids) is list
+    as_lists = ts.copy()
+    as_lists.children = [[list(c) for c in tree] for tree in ts.children]
+    ts.validate(g)
+    as_lists.validate(g)
+    for i in range(ts.gamma):
+        assert ts.top_down(i) == as_lists.top_down(i)
+        assert all(ts.descendants(i, v) == as_lists.descendants(i, v) for v in range(ts.node_count))
+
+
+def memberships(ts):
+    return sum(ts.in_tree(i, v) for i in range(ts.gamma) for v in range(ts.node_count))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_leaves_share_one_empty_tuple_through_copy_and_churn(strategy, monkeypatch):
+    # on pa:60:1, a tree graph, departures strand nodes (the drop path);
+    # on pa:60:2 some subtree roots have no member neighbor left (re-root)
+    removed = []
+    remove_child = TreeSet.remove_child
+
+    def recording_remove_child(ts, tree, parent, v):
+        removed.append(v)
+        remove_child(ts, tree, parent, v)
+
+    monkeypatch.setattr(TreeSet, "remove_child", recording_remove_child)
+    reroots = drops = 0
+    for m in (1, 2):
+        g = generate_synthetic("pa", 60, m, seed=3)
+        ts = construct_trees(g, TreeConfig(gamma=3, strategy=strategy, rng_seed=3), [0, 1, 2])
+        assert_leaves_share_one_tuple(ts, g)
+        assert_leaves_share_one_tuple(ts.copy(), g)
+        rng = random.Random(3)
+        for k in range(30):
+            v = rng.randrange(3, g.node_count)
+            before, trees_of_v = memberships(ts), sum(ts.in_tree(i, v) for i in range(3))
+            removed.clear()
+            handle_departure(ts, g, v, seed=k)
+            reroots += any(u != v for u in removed)  # only a re-root takes off another child
+            drops += before - memberships(ts) > trees_of_v
+            assert_leaves_share_one_tuple(ts, g)
+            try:
+                handle_join(ts, g, v, seed=k)
+            except JoinError:
+                continue
+            assert_leaves_share_one_tuple(ts, g)
+            assert_leaves_share_one_tuple(ts.copy(), g)
+    assert reroots and drops
+
+def stale_child(ts):
+    # 3 moved from parent 1 to 2, but 1 still lists it
+    ts.parent[0][3] = 2
+    ts.children[0][2] = [3]
+
+
+def repeated_child(ts):
+    ts.children[0][0] = [1, 2, 1]
+
+
+def child_of_absent_node(ts):
+    ts.children[0][4] = [3]
+
+
+@pytest.mark.parametrize("corrupt", [stale_child, repeated_child, child_of_absent_node])
+def test_validate_rejects_a_child_entry_its_child_disowns(corrupt):
+    # the tree 0 -> {1, 2}, 1 -> 3 on the square 0-1-3-2-0; node 4 is absent
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+    ts = TreeSet(5, [0])
+    for v, p in ((1, 0), (2, 0), (3, 1)):
+        ts.attach(0, v, p, ts.level[0][p] + 1)
+    ts.validate(g)
+    corrupt(ts)
+    with pytest.raises(AssertionError):
+        ts.validate(g)
+
 def test_copy_is_independent():
     g = path_graph(5)
     ts = construct_trees(g, TreeConfig(rng_seed=0), [0])

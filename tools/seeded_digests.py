@@ -53,7 +53,8 @@ def digest(obj) -> str:
 
 
 def tree_state(ts) -> tuple:
-    return ts.parent, ts.level, ts.join_round, ts.children, ts.pc
+    # each children entry as a list: a leaf's shared () hashes like []
+    return ts.parent, ts.level, ts.join_round, [[list(c) for c in tree] for tree in ts.children], ts.pc
 
 
 def depart_join(ts, g, roots, events: int, seed: int) -> list:
